@@ -274,8 +274,8 @@ func metricTotal(text, name string) float64 {
 // TestHierarchyDrill is the end-to-end kill/recover drill. Timeline:
 //
 //  1. Four in-test sadc daemons serve synthetic /proc snapshots; two
-//     asdf-shardd leaders (2 nodes each) and a root asdf with wire=columnar,
-//     period=1s, -degrade hold start as child processes.
+//     asdf-shardd leaders (2 nodes each) and a root asdf with period=1s,
+//     -degrade hold start as child processes.
 //  2. Once both leaders have merged partials, leader0 is SIGKILLed. The
 //     root's collector degrades like a node failure: errors, quarantine,
 //     gap-fill rows marked ";degraded".
@@ -334,7 +334,7 @@ func TestHierarchyDrill(t *testing.T) {
 	// strict-monotonicity assertion meaningful).
 	csvPath := filepath.Join(dir, "out.csv")
 	var cfg strings.Builder
-	fmt.Fprintf(&cfg, "[sadc]\nid = cluster\nnodes = %s\nmode = rpc\naddrs = -,-,-,-\nperiod = 1\nwire = columnar\n",
+	fmt.Fprintf(&cfg, "[sadc]\nid = cluster\nnodes = %s\nmode = rpc\naddrs = -,-,-,-\nperiod = 1\n",
 		strings.Join(names, ","))
 	fmt.Fprintf(&cfg, "leaders = %s,%s\nleader_ranges = 0-2,2-4\n\n", leader0Addr, leader1Addr)
 	fmt.Fprintf(&cfg, "[csv]\nid = log\npath = %s\n", csvPath)

@@ -1,11 +1,11 @@
 // Command asdf-shardd is the shard-leader of the hierarchical collection
-// plane: it owns the managed daemon connections, shard sweeps, and wire
-// negotiation for one contiguous node range, and serves merged per-tick
-// partials to the root asdf process (hierarchy JSON sweeps plus their
-// columnar stream counterparts). The root's sadc / hadoop_log instances
-// delegate ranges to leaders with the leaders / leader_ranges parameters.
+// plane: it owns the managed daemon connections and shard sweeps for one
+// contiguous node range, and serves merged per-tick partials to the root
+// asdf process as pulled columnar streams. The root's sadc / hadoop_log
+// instances delegate ranges to leaders with the leaders / leader_ranges
+// parameters.
 //
-// Sweeps are pull-driven — one sweep per root request — so the root's tick
+// Sweeps are pull-driven — one sweep per root pull — so the root's tick
 // clock paces the whole tree and sink output stays byte-identical to the
 // single-process configuration.
 //
@@ -53,8 +53,6 @@ func run(args []string) int {
 	fanout := fs.Int("fanout", 0, "concurrent daemon-fetch budget per sweep (0 = serial)")
 	shards := fs.Int("shards", 0, "shard-worker count over the leader's range (0 = single shard)")
 	shardFanout := fs.Int("shard-fanout", 0, "per-shard concurrent-fetch budget (0 = the -fanout budget)")
-	batch := fs.Bool("batch", false, "fetch all sadc metric groups in one batched RPC per node")
-	wire := fs.String("wire", "", "leader→daemon wire format: json or columnar (delta-encoded streams with per-node JSON fallback)")
 	callTimeout := fs.Duration("call-timeout", 0, "per-RPC deadline for collection daemons (0 = default 10s)")
 	reconnectBackoff := fs.Duration("reconnect-backoff", 0, "initial reconnect backoff to a dead daemon (0 = default 100ms)")
 	breakerThreshold := fs.Int("breaker-threshold", 0, "consecutive failures before a daemon's circuit breaker opens (0 = default 5)")
@@ -103,8 +101,6 @@ func run(args []string) int {
 		LogKind:   kind,
 		Fanout:    *fanout,
 		Shards:    config.ShardParams{Shards: *shards, ShardFanout: *shardFanout},
-		Batch:     *batch,
-		Wire:      *wire,
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "asdf-shardd: %v\n", err)

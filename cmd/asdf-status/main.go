@@ -284,7 +284,7 @@ func render(w io.Writer, rep modules.StatusReport, prev *modules.StatusReport, i
 	if len(rep.Leaders) > 0 {
 		fmt.Fprintln(w, "\nLEADERS")
 		tw = tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-		fmt.Fprintln(tw, "INSTANCE\tLEADER\tRANGE\tNODES\tWIRE\tCONNECTED\tPARTIALS\tERRORS\tRECONN\tLDR SWEEPS\tLDR ERRS\tLDR BRK")
+		fmt.Fprintln(tw, "INSTANCE\tLEADER\tRANGE\tNODES\tCONNECTED\tPARTIALS\tERRORS\tRECONN")
 		for _, inst := range sortedKeys(rep.Leaders) {
 			for _, ls := range rep.Leaders[inst] {
 				var partialsPrev, errsPrev uint64
@@ -302,11 +302,11 @@ func render(w io.Writer, rep modules.StatusReport, prev *modules.StatusReport, i
 				if ls.Health != nil {
 					connected = fmt.Sprintf("%v", ls.Health.Connected)
 				}
-				fmt.Fprintf(tw, "%s\t%s\t%s\t%d\t%s\t%s\t%s\t%s\t%d\t%d\t%d\t%d\n",
-					inst, ls.Addr, ls.Range, ls.Nodes, ls.Wire, connected,
+				fmt.Fprintf(tw, "%s\t%s\t%s\t%d\t%s\t%s\t%s\t%d\n",
+					inst, ls.Addr, ls.Range, ls.Nodes, connected,
 					delta(ls.Partials, partialsPrev, havePrev),
 					delta(ls.Errors, errsPrev, havePrev),
-					ls.Restarts, ls.LeaderSweeps, ls.LeaderNodeErrors, ls.LeaderOpenBreakers)
+					ls.Restarts)
 			}
 		}
 		_ = tw.Flush()

@@ -53,10 +53,9 @@ func sampleReport() modules.StatusReport {
 		},
 		Leaders: map[string][]modules.LeaderStatus{
 			"collector": {
-				{Addr: "10.0.0.9:7411", Range: "0-64", Nodes: 64, Wire: "columnar",
+				{Addr: "10.0.0.9:7411", Range: "0-64", Nodes: 64,
 					Health:   &rpc.Health{Addr: "10.0.0.9:7411", Connected: true},
-					Partials: 40, Errors: 2, Restarts: 1,
-					LeaderSweeps: 40, LeaderNodeErrors: 3, LeaderOpenBreakers: 1},
+					Partials: 40, Errors: 2, Restarts: 1},
 			},
 		},
 		Ibuffer: map[string]modules.IbufferStatus{
@@ -85,7 +84,7 @@ func TestRenderTables(t *testing.T) {
 		"sink", "healthy",
 		"BREAKERS", "node1:9999", "open", "SENT B", "62000",
 		"SHARDS", "10.1ms",
-		"LEADERS", "10.0.0.9:7411", "0-64", "columnar",
+		"LEADERS", "10.0.0.9:7411", "0-64", "RECONN",
 		"IBUFFER", "buf0", "523", "17",
 		"SYNC", "logs", "node1:3",
 	} {

@@ -66,7 +66,6 @@ func run(args []string) int {
 	degrade := fs.String("degrade", "skip", "gap-fill policy for a quarantined instance's outputs: skip, hold, zero, or auto (tightens to hold while the open-breaker fraction is high)")
 	shards := fs.Int("shards", 0, "default shard-worker count for multi-node collection instances; the shards parameter overrides per instance (0 = single shard)")
 	shardFanout := fs.Int("shard-fanout", 0, "default per-shard concurrent-fetch budget; the shard_fanout parameter overrides per instance (0 = the instance's fanout)")
-	wire := fs.String("wire", "", "default wire format for rpc-mode collection instances: json or columnar (delta-encoded streams); the wire parameter overrides per instance")
 	stateFile := fs.String("state-file", "", "persist supervisor/breaker/watermark state to this file and restore it on restart (crash-safe control plane)")
 	stateInterval := fs.Duration("state-interval", 5*time.Second, "interval between state snapshots (with -state-file)")
 	probeBudget := fs.Int("probe-budget", 4, "restored open breakers re-probed per probe interval after a restart (with -state-file)")
@@ -113,7 +112,6 @@ func run(args []string) int {
 	env.RPCOptions.Clock = time.Now
 	env.DefaultShards = *shards
 	env.DefaultShardFanout = *shardFanout
-	env.DefaultWire = *wire
 	reg := asdf.NewRegistry(env)
 
 	if *listModules {

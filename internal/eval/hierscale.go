@@ -10,7 +10,6 @@ import (
 	"github.com/asdf-project/asdf/internal/hierarchy"
 	"github.com/asdf-project/asdf/internal/modules"
 	"github.com/asdf-project/asdf/internal/rpc"
-	"github.com/asdf-project/asdf/internal/sadc"
 )
 
 // HierScaleConfig sizes the hierarchical-topology measurement: one root
@@ -18,7 +17,7 @@ import (
 // (in-process modules.Leader instances behind real loopback RPC servers,
 // columnar root hop) versus sweeping the fleet itself. As in the shard
 // measurement, the daemons are in-process fakes — a time.Sleep plus a
-// canned record — so the numbers isolate the topology's concurrency
+// canned stream row — so the numbers isolate the topology's concurrency
 // structure and hop overhead from daemon cost.
 type HierScaleConfig struct {
 	// NodeCounts are the simulated cluster sizes to measure.
@@ -99,9 +98,7 @@ func timeHierSweep(nodes, leaders int, cfg HierScaleConfig) (time.Duration, erro
 		names[i] = fmt.Sprintf("n%04d", i)
 		fakeAddrs[i] = fmt.Sprintf("10.0.0.%d:9999", i)
 	}
-	dial := func(addr, client string) (rpc.Caller, error) {
-		return &delayedCaller{delay: cfg.RPCLatency, rec: sadc.Record{Node: make([]float64, 64)}}, nil
-	}
+	dial := newDelayedDial(cfg.RPCLatency)
 	env := modules.NewEnv()
 	var cfgText string
 	if leaders == 0 {
@@ -146,7 +143,7 @@ func timeHierSweep(nodes, leaders int, cfg HierScaleConfig) (time.Duration, erro
 			dashes[i] = "-"
 		}
 		cfgText = fmt.Sprintf(
-			"[sadc]\nid = collect\nnodes = %s\nmode = rpc\naddrs = %s\nperiod = 1s\nwire = columnar\nleaders = %s\nleader_ranges = %s\n",
+			"[sadc]\nid = collect\nnodes = %s\nmode = rpc\naddrs = %s\nperiod = 1s\nleaders = %s\nleader_ranges = %s\n",
 			strings.Join(names, ","), strings.Join(dashes, ","),
 			strings.Join(leaderAddrs, ","), strings.Join(ranges, ","))
 	}

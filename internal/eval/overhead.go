@@ -123,16 +123,19 @@ type ticker interface {
 // BandwidthRow is one row of Table 4: the RPC cost of one collection type.
 type BandwidthRow struct {
 	RPCType string
-	// StaticKB is the connection-setup traffic (hello exchange), kB.
+	// StaticKB is the connection-setup traffic, kB: the hello exchange, the
+	// stream open, and the first pull, whose frame carries the schema and
+	// the first row in full.
 	StaticKB float64
 	// PerIterKBs is steady-state traffic per one-second iteration, kB/s.
 	PerIterKBs float64
 }
 
 // MeasureTable4 reproduces the RPC-bandwidth table with real TCP servers:
-// a sadc_rpcd and hadoop_log_rpcd serve one busy simulated node, and the
-// client-side byte counters give the exact static and per-iteration wire
-// traffic for each of the paper's three RPC types.
+// a sadc_rpcd and hadoop_log_rpcd serve one busy simulated node over the
+// columnar pull streams the collection modules use, and the client-side
+// byte counters give the exact static and per-iteration wire traffic for
+// each of the paper's three RPC types.
 func MeasureTable4(iterations int) ([]BandwidthRow, error) {
 	if iterations <= 0 {
 		iterations = 60
@@ -160,23 +163,44 @@ func MeasureTable4(iterations int) ([]BandwidthRow, error) {
 	}
 	defer closeQuiet(hlSrv)
 
-	sadcClient, err := rpc.Dial(sadcAddr.String(), "asdf-bench")
-	if err != nil {
-		return nil, err
-	}
+	// One managed client per stream, as the collection modules hold one
+	// per daemon and log kind.
+	sadcClient := rpc.NewManagedClient(sadcAddr.String(), "asdf-bench", rpc.Options{})
 	defer closeQuiet(sadcClient)
-	dnClient, err := rpc.Dial(hlAddr.String(), "asdf-bench")
-	if err != nil {
-		return nil, err
-	}
+	dnClient := rpc.NewManagedClient(hlAddr.String(), "asdf-bench", rpc.Options{})
 	defer closeQuiet(dnClient)
-	ttClient, err := rpc.Dial(hlAddr.String(), "asdf-bench")
+	ttClient := rpc.NewManagedClient(hlAddr.String(), "asdf-bench", rpc.Options{})
+	defer closeQuiet(ttClient)
+	sadcSource, err := modules.NewColumnarMetricSource(sadcClient, node.Name, nil, nil)
 	if err != nil {
 		return nil, err
 	}
-	defer closeQuiet(ttClient)
+	dnSource, err := modules.NewColumnarLogSource(dnClient, node.Name, hadooplog.KindDataNode)
+	if err != nil {
+		return nil, err
+	}
+	ttSource, err := modules.NewColumnarLogSource(ttClient, node.Name, hadooplog.KindTaskTracker)
+	if err != nil {
+		return nil, err
+	}
+	tick := func() error {
+		c.Tick()
+		if _, err := sadcSource.Collect(); err != nil {
+			return err
+		}
+		if _, err := dnSource.Fetch(c.Now()); err != nil {
+			return err
+		}
+		_, err := ttSource.Fetch(c.Now())
+		return err
+	}
 
-	staticOf := func(client *rpc.Client) float64 {
+	// The first tick dials, opens each stream, and carries the schema
+	// frames: that is the static cost.
+	if err := tick(); err != nil {
+		return nil, err
+	}
+	staticOf := func(client *rpc.ManagedClient) float64 {
 		sent, recv := client.Stats()
 		return float64(sent+recv) / 1024
 	}
@@ -184,26 +208,15 @@ func MeasureTable4(iterations int) ([]BandwidthRow, error) {
 	dnStatic := staticOf(dnClient)
 	ttStatic := staticOf(ttClient)
 
-	sadcSource := modules.NewRPCMetricSource(sadcClient)
-	dnSource := modules.NewRPCLogSource(dnClient, hadooplog.KindDataNode)
-	ttSource := modules.NewRPCLogSource(ttClient, hadooplog.KindTaskTracker)
-
 	s0s, s0r := sadcClient.Stats()
 	d0s, d0r := dnClient.Stats()
 	t0s, t0r := ttClient.Stats()
 	for i := 0; i < iterations; i++ {
-		c.Tick()
-		if _, err := sadcSource.Collect(); err != nil {
-			return nil, err
-		}
-		if _, err := dnSource.Fetch(c.Now()); err != nil {
-			return nil, err
-		}
-		if _, err := ttSource.Fetch(c.Now()); err != nil {
+		if err := tick(); err != nil {
 			return nil, err
 		}
 	}
-	perIter := func(client *rpc.Client, s0, r0 uint64) float64 {
+	perIter := func(client *rpc.ManagedClient, s0, r0 uint64) float64 {
 		s1, r1 := client.Stats()
 		return float64((s1-s0)+(r1-r0)) / 1024 / float64(iterations)
 	}

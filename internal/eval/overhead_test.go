@@ -56,7 +56,7 @@ func TestMeasureTable4(t *testing.T) {
 		}
 		if i < 3 {
 			if r.StaticKB <= 0 {
-				t.Errorf("%s static = %v, want > 0 (hello exchange)", r.RPCType, r.StaticKB)
+				t.Errorf("%s static = %v, want > 0 (connection setup)", r.RPCType, r.StaticKB)
 			}
 			if r.PerIterKBs <= 0 {
 				t.Errorf("%s per-iter = %v, want > 0", r.RPCType, r.PerIterKBs)

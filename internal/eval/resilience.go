@@ -5,6 +5,7 @@ import (
 	"io"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/asdf-project/asdf/internal/config"
@@ -255,9 +256,15 @@ func RunCollectionResilience(cfg ResilienceConfig) (*ResilienceReport, error) {
 			d.close()
 		}
 	}()
+	// Daemons read the clock on their own goroutines, and a slow daemon is
+	// still reading it after its caller timed out and the loop below moved
+	// the cluster on, so they get a synchronized copy of the cluster clock.
+	var daemonNow atomic.Value
+	daemonNow.Store(c.Now())
+	daemonClock := func() time.Time { return daemonNow.Load().(time.Time) }
 	var names, sadcAddrs, hlogAddrs []string
 	for _, n := range c.Slaves() {
-		d, err := startDaemons(n, c.Now, "127.0.0.1:0", "127.0.0.1:0")
+		d, err := startDaemons(n, daemonClock, "127.0.0.1:0", "127.0.0.1:0")
 		if err != nil {
 			return nil, err
 		}
@@ -415,6 +422,7 @@ breaker_cooldown = %d
 			sadcAtRevive = victimSadcOut.Published()
 		}
 		c.Tick()
+		daemonNow.Store(c.Now())
 		if err := eng.Tick(c.Now()); err != nil {
 			return nil, err
 		}

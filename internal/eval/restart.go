@@ -200,8 +200,7 @@ func RunRestartDrill(cfg RestartDrillConfig) (*RestartDrillReport, error) {
 
 	// Both lives load the identical configuration (only the sink path
 	// differs), exactly as a restarted cmd/asdf re-reads its -config. The
-	// white-box collector runs the columnar push transport, so the second
-	// life's fresh subscriptions re-serve each daemon's full history — the
+	// second life's fresh streams re-serve each daemon's full history — the
 	// hazard the restored replay watermark must suppress.
 	conf := func(csvPath string) string {
 		var b strings.Builder
@@ -213,8 +212,6 @@ mode = rpc
 nodes = %s
 addrs = %s
 period = 1
-wire = columnar
-subscribe = true
 sync_deadline = %d
 sync_quorum = %d
 breaker_threshold = %d

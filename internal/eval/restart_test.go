@@ -87,7 +87,7 @@ func TestRestartDrill(t *testing.T) {
 
 	// The combined two-life lineage has no duplicate and no rewound
 	// timestamps on any node stream, despite the second life's fresh
-	// subscriptions replaying each daemon's full history.
+	// streams replaying each daemon's full history.
 	if report.CSVRows == 0 {
 		t.Fatal("no CSV rows published across both lives")
 	}

@@ -16,7 +16,7 @@ import (
 // sadc instance per engine, polling simulated collection daemons a fixed
 // RPC latency away, swept serially (a single shard at the default fanout)
 // and sharded. The daemons are in-process fakes — a time.Sleep plus a
-// canned record — so the measurement isolates the collection plane's
+// canned stream row — so the measurement isolates the collection plane's
 // concurrency structure from daemon cost, which Table 3 covers separately.
 type ShardScaleConfig struct {
 	// NodeCounts are the simulated cluster sizes to measure.
@@ -55,21 +55,27 @@ type ShardScalePoint struct {
 	SpeedupVsSerial float64 `json:"speedup_vs_serial"`
 }
 
-// delayedCaller fakes a collection daemon one network round trip away.
-type delayedCaller struct {
+// delayedDaemon fakes a collection daemon one network round trip away:
+// every pull sleeps for the latency, then serves one sadc.metrics row.
+type delayedDaemon struct {
 	delay time.Duration
-	rec   sadc.Record
+	rows  []rpc.StreamRow
 }
 
-func (c *delayedCaller) Call(method string, params, result any) error {
-	time.Sleep(c.delay)
-	if rec, ok := result.(*sadc.Record); ok {
-		*rec = c.rec
+// newDelayedDial returns an Env.Dial hook whose daemons answer after delay.
+func newDelayedDial(delay time.Duration) func(addr, client string) (modules.Streamer, error) {
+	return func(addr, client string) (modules.Streamer, error) {
+		row := rpc.StreamRow{Present: []bool{true}, Values: make([]float64, len(sadc.NodeMetricNames))}
+		return &delayedDaemon{delay: delay, rows: []rpc.StreamRow{row}}, nil
 	}
-	return nil
 }
 
-func (c *delayedCaller) Close() error { return nil }
+func (d *delayedDaemon) Stream(string, any) (rpc.Puller, error) { return d, nil }
+
+func (d *delayedDaemon) Pull() ([]rpc.StreamRow, error) {
+	time.Sleep(d.delay)
+	return d.rows, nil
+}
 
 // MeasureShardScaling times the per-tick collection sweep of one
 // multi-node sadc instance at each configured node count, single-shard
@@ -111,9 +117,7 @@ func timeSweep(nodes, shards, shardFanout int, cfg ShardScaleConfig) (time.Durat
 		addrs[i] = fmt.Sprintf("10.0.0.%d:9999", i)
 	}
 	env := modules.NewEnv()
-	env.Dial = func(addr, client string) (rpc.Caller, error) {
-		return &delayedCaller{delay: cfg.RPCLatency, rec: sadc.Record{Node: make([]float64, 64)}}, nil
-	}
+	env.Dial = newDelayedDial(cfg.RPCLatency)
 	cfgText := fmt.Sprintf(
 		"[sadc]\nid = collect\nnodes = %s\nmode = rpc\naddrs = %s\nperiod = 1s\nshards = %d\nshard_fanout = %d\n",
 		strings.Join(names, ","), strings.Join(addrs, ","), shards, shardFanout)

@@ -29,8 +29,8 @@ type WireScaleConfig struct {
 	Seed int64
 }
 
-// DefaultWireScaleConfig mirrors the CI wire suite: 128 to 1024 nodes, the
-// sadc node-vector width, ~10% of columns moving per tick.
+// DefaultWireScaleConfig is the committed BENCH_wire.json sweep: 128 to
+// 1024 nodes, the sadc node-vector width, ~10% of columns moving per tick.
 func DefaultWireScaleConfig() WireScaleConfig {
 	return WireScaleConfig{
 		NodeCounts:     []int{128, 512, 1024},

@@ -122,18 +122,26 @@ func (c *Cluster) registerDemands(a *attempt) tickWork {
 		// stays pending and the fetch attempts count as dropped traffic.
 		if a.phase == phaseCopy && len(a.copyAvail) > 0 {
 			srcs := make([]int, 0, len(a.copyAvail))
-			var totalAvail float64
 			for s, mb := range a.copyAvail {
 				if mb > workEps {
-					if c.partitionBlocked(s, n.Index) {
-						n.partitionDropMB += minF(mb, 5)
-						continue
-					}
 					srcs = append(srcs, s)
-					totalAvail += mb
 				}
 			}
+			// Filter and sum in source order: float sums in map order
+			// would differ between identically seeded clusters.
 			sort.Ints(srcs)
+			reachable := srcs[:0]
+			var totalAvail float64
+			for _, s := range srcs {
+				mb := a.copyAvail[s]
+				if c.partitionBlocked(s, n.Index) {
+					n.partitionDropMB += minF(mb, 5)
+					continue
+				}
+				reachable = append(reachable, s)
+				totalAvail += mb
+			}
+			srcs = reachable
 			if totalAvail > workEps {
 				budget := minF(taskNetCapMBps, totalAvail)
 				for _, s := range srcs {

@@ -1,6 +1,7 @@
 package hadoopsim
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -68,6 +69,32 @@ func TestClusterDeterminism(t *testing.T) {
 	t2, u2 := run()
 	if t1 != t2 || u1 != u2 {
 		t.Errorf("same seed diverged: tasks %d vs %d, user jiffies %d vs %d", t1, t2, u1, u2)
+	}
+}
+
+// TestClusterBitReproducible holds two identically seeded large clusters to
+// bit-equal /proc state on every node at every tick. Large fleets are where
+// iteration-order float sums (reduce shuffles from many map sources) show
+// up; the detection benchmarks' reference runs rely on this.
+func TestClusterBitReproducible(t *testing.T) {
+	a := testCluster(t, 512, 1)
+	b := testCluster(t, 512, 1)
+	for tick := 1; tick <= 120; tick++ {
+		a.Tick()
+		b.Tick()
+		for i, na := range a.Slaves() {
+			sa, err := na.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			sb, err := b.Slave(i).Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(sa, sb) {
+				t.Fatalf("tick %d: node %d diverged between identically seeded clusters", tick, i)
+			}
+		}
 	}
 }
 

@@ -9,13 +9,11 @@
 // the root re-merges partials by node index, so sink output stays
 // byte-identical to the single-process configuration.
 //
-// The leader→root hop reuses the existing RPC machinery both ways: a JSON
-// sweep method (one request/response per tick, carrying per-node records
-// plus leader accounting), and a columnar stream counterpart (one delta-
-// encoded row per node per tick, one schema group per node) for wire =
-// columnar roots — including the credit-windowed server-push subscription
-// mode. This package holds only the protocol: method names, request and
-// response shapes, node-range arithmetic, and the leader accounting struct.
+// The leader→root hop is the same pulled columnar stream the daemons serve:
+// one delta-encoded row per node per tick, tagged with the node's offset in
+// the range. This package holds only the protocol: method names, request
+// and response shapes, node-range arithmetic, and the leader accounting
+// struct.
 // The leader implementation lives in internal/modules (reusing the module
 // sources and shard sweeper); the binary is cmd/asdf-shardd.
 package hierarchy
@@ -24,7 +22,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"time"
 )
 
 // ServiceLeader is the RPC service name an asdf-shardd leader announces in
@@ -33,23 +30,17 @@ const ServiceLeader = "asdf_shardd"
 
 // RPC methods served by a leader.
 const (
-	// MethodSadcSweep runs one collection sweep over the leader's node
-	// range and returns every node's record (JSON hop).
-	MethodSadcSweep = "hier.sadc.sweep"
-	// MethodLogSweep fetches newly finalized state vectors from every node
-	// in the leader's range (JSON hop).
-	MethodLogSweep = "hier.hlog.sweep"
 	// MethodStatus returns the leader's accounting snapshot without
 	// triggering a sweep.
 	MethodStatus = "hier.status"
-	// MethodSadcStream is the columnar counterpart of MethodSadcSweep: one
-	// row per node per tick in a single narrow group whose leading
-	// NodeIndexColumn column carries the node's offset within the range.
-	// A node that failed this tick simply has no row.
+	// MethodSadcStream runs one collection sweep over the leader's node
+	// range per pull: one row per node in a single narrow group whose
+	// leading NodeIndexColumn column carries the node's offset within the
+	// range. A node that failed this tick simply has no row.
 	MethodSadcStream = "hier.sadc"
-	// MethodLogStream is the columnar counterpart of MethodLogSweep: one
-	// row per newly finalized per-second vector, tagged the same way; a
-	// quiet tick is an empty frame.
+	// MethodLogStream fetches newly finalized state vectors from every
+	// node in the range per pull: one row per per-second vector, tagged
+	// the same way; a quiet tick is an empty frame.
 	MethodLogStream = "hier.hlog"
 )
 
@@ -125,9 +116,7 @@ func ParseRanges(s string, n int) ([]Range, error) {
 	return out, nil
 }
 
-// Stats is a leader's cumulative accounting, piggybacked on every JSON
-// sweep response and served on MethodStatus, so the root's operator surface
-// can federate leader health without a second connection.
+// Stats is a leader's cumulative accounting, served on MethodStatus.
 type Stats struct {
 	// Nodes is the size of the leader's configured node range.
 	Nodes int `json:"nodes"`
@@ -139,47 +128,6 @@ type Stats struct {
 	// OpenBreakers is the current count of leader→daemon circuit breakers
 	// standing open.
 	OpenBreakers int `json:"open_breakers"`
-}
-
-// SadcRecord is one node's sweep result on the JSON hop. Exactly one of
-// Node or Err is meaningful: a failed fetch ships its error string and no
-// vector.
-type SadcRecord struct {
-	// Warmup marks a record still priming its rate baseline (first collect
-	// after the daemon-side collector was created); the root skips it
-	// exactly as it skips a direct warmup record.
-	Warmup bool `json:"w,omitempty"`
-	// Node is the 64-column node-level metric vector.
-	Node []float64 `json:"n,omitempty"`
-	// Err is the per-node fetch error, empty on success.
-	Err string `json:"e,omitempty"`
-}
-
-// SadcSweepResponse is the MethodSadcSweep reply: one record per node in
-// range order.
-type SadcSweepResponse struct {
-	Records []SadcRecord `json:"records"`
-	Stats   Stats        `json:"stats"`
-}
-
-// LogVector is one finalized per-second state vector on the JSON hop.
-type LogVector struct {
-	Time   time.Time `json:"t"`
-	Counts []float64 `json:"c"`
-}
-
-// LogNode is one node's sweep result on the JSON hop: its newly finalized
-// vectors, or its fetch error.
-type LogNode struct {
-	Vectors []LogVector `json:"v,omitempty"`
-	Err     string      `json:"e,omitempty"`
-}
-
-// LogSweepResponse is the MethodLogSweep reply: one entry per node in
-// range order.
-type LogSweepResponse struct {
-	Nodes []LogNode `json:"nodes"`
-	Stats Stats     `json:"stats"`
 }
 
 // StatusResponse is the MethodStatus reply.

@@ -1,6 +1,10 @@
 package hierarchy
 
-import "testing"
+import (
+	"reflect"
+	"strings"
+	"testing"
+)
 
 func TestParseRanges(t *testing.T) {
 	got, err := ParseRanges("0-4, 4-8 ,12-16", 16)
@@ -47,4 +51,33 @@ func TestParseRangesErrors(t *testing.T) {
 	if _, err := ParseRanges("0-1000000", -1); err != nil {
 		t.Errorf("unbounded parse: %v", err)
 	}
+}
+
+// FuzzParseRanges holds ParseRanges to its contract on arbitrary input:
+// never a panic; on success every range is non-empty, in bounds and
+// disjoint from the others, and the ranges render back (String, joined by
+// commas) to text that parses to the same ranges.
+func FuzzParseRanges(f *testing.F) {
+	f.Fuzz(func(t *testing.T, s string, n int) {
+		got, err := ParseRanges(s, n)
+		if err != nil {
+			return
+		}
+		parts := make([]string, len(got))
+		for i, r := range got {
+			if r.Start < 0 || r.End <= r.Start || (n >= 0 && r.End > n) {
+				t.Fatalf("ParseRanges(%q, %d): invalid range %v", s, n, r)
+			}
+			for _, prev := range got[:i] {
+				if r.Start < prev.End && prev.Start < r.End {
+					t.Fatalf("ParseRanges(%q, %d): %v overlaps %v", s, n, r, prev)
+				}
+			}
+			parts[i] = r.String()
+		}
+		again, err := ParseRanges(strings.Join(parts, ","), n)
+		if err != nil || !reflect.DeepEqual(again, got) {
+			t.Fatalf("ParseRanges(%q, %d) = %v does not round-trip: %v, %v", s, n, got, again, err)
+		}
+	})
 }

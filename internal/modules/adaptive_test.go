@@ -128,7 +128,7 @@ func TestAdaptiveMetricsVisible(t *testing.T) {
 	}
 }
 
-// breakerToggleCaller is an unconnected caller whose reported breaker state
+// breakerToggleCaller is an unconnected client whose reported breaker state
 // the test flips at will — enough to drive countBreakers and the adaptive
 // feed without real daemons.
 type breakerToggleCaller struct {
@@ -136,8 +136,7 @@ type breakerToggleCaller struct {
 	open *bool
 }
 
-func (c *breakerToggleCaller) Call(string, any, any) error { return nil }
-func (c *breakerToggleCaller) Close() error                { return nil }
+func (c *breakerToggleCaller) Stream(string, any) (rpc.Puller, error) { return nil, nil }
 func (c *breakerToggleCaller) Health() rpc.Health {
 	h := rpc.Health{Addr: c.addr, State: rpc.BreakerClosed}
 	if *c.open {
@@ -178,7 +177,7 @@ only_nonzero = false
 	hl.sources[1] = &gatedSource{inner: hl.sources[1], open: func() bool { return false }}
 	// Stand-in supervised clients: node b's breaker state is toggled below.
 	bOpen := false
-	hl.clients = []rpc.Caller{
+	hl.clients = []Streamer{
 		&breakerToggleCaller{addr: "127.0.0.1:9001", open: new(bool)},
 		&breakerToggleCaller{addr: "127.0.0.1:9002", open: &bOpen},
 	}

@@ -19,10 +19,10 @@ import (
 
 // batchCollector selects how the fleet is collected for an equivalence
 // case: per-node local sadc instances (the zero value), one sharded
-// multi-node instance, or a columnar-wire RPC fleet with loopback daemons.
+// multi-node instance, or an RPC fleet of loopback daemons.
 type batchCollector struct {
 	shards int
-	wire   string // "" = local collection; "columnar" = RPC daemons
+	rpc    bool
 }
 
 // knnStage renders the classification stage and its sinks over the given
@@ -128,8 +128,8 @@ func runBatchEquivCase(t *testing.T, slaves int, seed int64, col batchCollector,
 	var b strings.Builder
 	src := make([]string, slaves)
 	switch {
-	case col.wire != "":
-		// A columnar RPC fleet: one loopback daemon per node.
+	case col.rpc:
+		// An RPC fleet: one loopback daemon per node.
 		env = NewEnv()
 		env.Clock = c.Now
 		var addrs []string
@@ -143,8 +143,8 @@ func runBatchEquivCase(t *testing.T, slaves int, seed int64, col batchCollector,
 			t.Cleanup(func() { _ = srv.Close() })
 			addrs = append(addrs, addr.String())
 		}
-		fmt.Fprintf(&b, "[sadc]\nid = cluster\nnodes = %s\nmode = rpc\naddrs = %s\nperiod = 1\nwire = %s\n",
-			strings.Join(names, ","), strings.Join(addrs, ","), col.wire)
+		fmt.Fprintf(&b, "[sadc]\nid = cluster\nnodes = %s\nmode = rpc\naddrs = %s\nperiod = 1\n",
+			strings.Join(names, ","), strings.Join(addrs, ","))
 		if col.shards > 1 {
 			fmt.Fprintf(&b, "shards = %d\n", col.shards)
 		}
@@ -202,10 +202,10 @@ func TestBatchedAnalysisMatchesPerNode(t *testing.T) {
 		// Sharded collection feeding the batched classifier; 6 % 4 != 0.
 		{"knn-sharded-collection", knnStage, 6, 1503, batchCollector{shards: 2}, 4},
 		// Columnar RPC fleet, sharded root, ragged block (4 % 3 != 0).
-		{"knn-columnar-fleet", knnStage, 4, 1504, batchCollector{wire: "columnar", shards: 2}, 3},
+		{"knn-columnar-fleet", knnStage, 4, 1504, batchCollector{rpc: true, shards: 2}, 3},
 		{"mavgvec-local-ragged-block", mavgvecStage, 5, 1505, batchCollector{}, 2},
 		{"mavgvec-sharded-collection", mavgvecStage, 6, 1506, batchCollector{shards: 3}, 0},
-		{"mavgvec-columnar-fleet", mavgvecStage, 4, 1507, batchCollector{wire: "columnar"}, 3},
+		{"mavgvec-columnar-fleet", mavgvecStage, 4, 1507, batchCollector{rpc: true}, 3},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

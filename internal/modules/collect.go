@@ -40,20 +40,6 @@ import (
 //	                                     set; default 1 = the unsharded sweep)
 //	shard_fanout = <int>                (per-shard concurrent-fetch budget;
 //	                                     default: the fanout parameter)
-//	batch        = true | false         (rpc: fetch per-metric-group methods in
-//	                                     one rpc.Batch frame per node per tick)
-//	wire         = json | columnar      (rpc: per-node transport; columnar opens
-//	                                     a delta-encoded stream and supersedes
-//	                                     batch, falling back to the JSON path —
-//	                                     batched or not — when a daemon predates
-//	                                     the stream protocol; default: json, or
-//	                                     the environment's -wire flag)
-//	subscribe    = true | false         (columnar: server-push subscription
-//	                                     instead of per-tick pulls)
-//	push_period  = <duration>           (subscribe: server-side push pacing;
-//	                                     default 0 = lockstep with credits)
-//	push_window  = <int>                (subscribe: max frames in flight;
-//	                                     default 1 = lockstep)
 //	leaders      = host1:p,host2:p,...  (rpc multi-node: delegate node ranges
 //	                                     to asdf-shardd leader processes; the
 //	                                     delegated addrs entries become "-")
@@ -63,20 +49,19 @@ import (
 //	ifaces       = eth0,eth1            (single-node: adds outputs net_<iface>)
 //	pids         = 3001,3002            (single-node: adds outputs proc_<pid>)
 //
-// In rpc mode each node keeps its own supervised ManagedClient, so breaker
-// state and reconnect backoff stay per node regardless of fanout or shard
-// count. With shards >= 2 the node set is split into contiguous node-index
-// ranges swept by independent worker pools; results are still merged in
-// node-index order, so output is identical to the unsharded sweep. wire =
-// columnar composes with both: each node's stream rides its own managed
-// connection, whichever shard sweeps it.
+// In rpc mode each node keeps its own supervised ManagedClient and pulls one
+// columnar sadc.metrics frame per tick over it, so breaker state and
+// reconnect backoff stay per node regardless of fanout or shard count. With
+// shards >= 2 the node set is split into contiguous node-index ranges swept
+// by independent worker pools; results are still merged in node-index
+// order, so output is identical to the unsharded sweep.
 type sadcModule struct {
 	env     *Env
 	id      string
 	nodes   []string
 	single  bool // the node= form: output0 plus iface/pid extras
 	sources []MetricSource
-	clients []rpc.Caller // rpc mode: parallel to nodes; nil otherwise
+	clients []Streamer // rpc mode: parallel to nodes; nil otherwise
 	outs    []*core.OutputPort
 	fanout  int
 	sharder *shardSweeper
@@ -130,10 +115,6 @@ func (m *sadcModule) Init(ctx *core.InitContext) error {
 	if err != nil {
 		return err
 	}
-	batch, err := cfg.BoolParam("batch", false)
-	if err != nil {
-		return err
-	}
 	m.ifaces = splitList(cfg.StringParam("ifaces", ""))
 	for _, p := range splitList(cfg.StringParam("pids", "")) {
 		pid, err := strconv.Atoi(p)
@@ -143,13 +124,6 @@ func (m *sadcModule) Init(ctx *core.InitContext) error {
 		m.pids = append(m.pids, pid)
 	}
 	mode := cfg.StringParam("mode", "local")
-	if batch && mode != "rpc" {
-		return fmt.Errorf("sadc: batch = true requires mode = rpc")
-	}
-	wp, err := parseWireParams(cfg, m.env, "sadc", mode)
-	if err != nil {
-		return err
-	}
 	leaderAddrs, leaderRanges, err := parseHierParams(cfg, "sadc", mode, len(m.nodes))
 	if err != nil {
 		return err
@@ -206,33 +180,15 @@ func (m *sadcModule) Init(ctx *core.InitContext) error {
 				return fmt.Errorf("sadc[%s]: dial %s: %w", m.nodes[i], a, err)
 			}
 			m.clients = append(m.clients, client)
-			var src MetricSource
-			if batch {
-				bc, ok := client.(rpc.BatchCaller)
-				if !ok {
-					return fmt.Errorf("sadc[%s]: batch = true requires a batch-capable client", m.nodes[i])
-				}
-				if src, err = NewBatchedMetricSource(bc, m.ifaces, m.pids); err != nil {
-					return fmt.Errorf("sadc[%s]: %w", m.nodes[i], err)
-				}
-			} else {
-				src = NewRPCMetricSource(client)
-			}
-			if wp.columnar {
-				// The JSON source built above becomes the fallback for
-				// daemons that predate the stream protocol. A custom Dial
-				// hook without stream support keeps the JSON path outright.
-				if so, ok := client.(streamOpener); ok {
-					if src, err = NewColumnarMetricSource(so, wp, m.nodes[i], m.ifaces, m.pids, src); err != nil {
-						return fmt.Errorf("sadc[%s]: %w", m.nodes[i], err)
-					}
-				}
+			src, err := NewColumnarMetricSource(client, m.nodes[i], m.ifaces, m.pids)
+			if err != nil {
+				return fmt.Errorf("sadc[%s]: %w", m.nodes[i], err)
 			}
 			m.sources = append(m.sources, src)
 		}
 		if len(leaderAddrs) > 0 {
 			m.hier, err = newLeaderSet(m.env, ctx.ID(), m.nodes, leaderAddrs, leaderRanges,
-				rp, wp, hierarchy.MethodSadcStream, len(sadc.NodeMetricNames))
+				rp, hierarchy.MethodSadcStream, len(sadc.NodeMetricNames))
 			if err != nil {
 				return fmt.Errorf("sadc: %w", err)
 			}
@@ -498,17 +454,6 @@ var _ core.Module = (*sadcModule)(nil)
 //	                                         node set; default 1)
 //	shard_fanout  = <int>                   (per-shard fetch budget; default:
 //	                                         the fanout parameter)
-//	wire          = json | columnar         (rpc: per-node transport; columnar
-//	                                         streams delta-encoded vectors and
-//	                                         falls back to JSON per node when a
-//	                                         daemon predates the stream protocol;
-//	                                         default: json, or the environment's
-//	                                         -wire flag)
-//	subscribe     = true | false            (columnar: server-push subscription)
-//	push_period   = <duration>              (subscribe: server push pacing;
-//	                                         default 0 = lockstep with credits)
-//	push_window   = <int>                   (subscribe: max frames in flight;
-//	                                         default 1 = lockstep)
 //	leaders       = host1:p,host2:p,...     (rpc: delegate node ranges to
 //	                                         asdf-shardd leader processes; the
 //	                                         delegated addrs entries become "-")
@@ -524,17 +469,18 @@ var _ core.Module = (*sadcModule)(nil)
 // optionally partitioned into shards each running its own pool, but
 // results are merged into the synchronization state in node-index order,
 // so publish order and the strict/degraded sync semantics are identical to
-// a serial sweep whatever the shard count. In rpc mode the resilience
+// a serial sweep whatever the shard count. In rpc mode each node pulls its
+// hadoop_log.stream frames over its own managed connection; the resilience
 // knobs reconnect_backoff, call_timeout, breaker_threshold, and
-// breaker_cooldown tune the per-node managed connections, each of which
-// keeps its own breaker state regardless of fanout.
+// breaker_cooldown tune those connections, each of which keeps its own
+// breaker state regardless of fanout.
 type hadoopLogModule struct {
 	env     *Env
 	id      string
 	kind    hadooplog.Kind
 	nodes   []string
 	sources []LogSource
-	clients []rpc.Caller // rpc mode: parallel to nodes; nil otherwise
+	clients []Streamer // rpc mode: parallel to nodes; nil otherwise
 	outs    []*core.OutputPort
 	fanout  int
 	sharder *shardSweeper
@@ -586,11 +532,7 @@ func (m *hadoopLogModule) Init(ctx *core.InitContext) error {
 	if nodesParam == "" {
 		return errMissingParam("hadoop_log", "nodes")
 	}
-	for _, n := range strings.Split(nodesParam, ",") {
-		if n = strings.TrimSpace(n); n != "" {
-			m.nodes = append(m.nodes, n)
-		}
-	}
+	m.nodes = splitList(nodesParam)
 	if len(m.nodes) == 0 {
 		return fmt.Errorf("hadoop_log: empty node list")
 	}
@@ -618,10 +560,6 @@ func (m *hadoopLogModule) Init(ctx *core.InitContext) error {
 	}
 
 	mode := cfg.StringParam("mode", "local")
-	wp, err := parseWireParams(cfg, m.env, "hadoop_log", mode)
-	if err != nil {
-		return err
-	}
 	leaderAddrs, leaderRanges, err := parseHierParams(cfg, "hadoop_log", mode, len(m.nodes))
 	if err != nil {
 		return err
@@ -646,13 +584,12 @@ func (m *hadoopLogModule) Init(ctx *core.InitContext) error {
 		if addrsParam == "" {
 			return errMissingParam("hadoop_log", "addrs")
 		}
-		addrs := strings.Split(addrsParam, ",")
+		addrs := splitList(addrsParam)
 		if len(addrs) != len(m.nodes) {
 			return fmt.Errorf("hadoop_log: %d addrs for %d nodes", len(addrs), len(m.nodes))
 		}
 		delegated := markDelegated(len(m.nodes), leaderRanges)
-		for i, a := range addrs {
-			addr := strings.TrimSpace(a)
+		for i, addr := range addrs {
 			if delegated != nil && delegated[i] {
 				// The leader owns this node's daemon connection ("-"
 				// placeholder; a real address is tolerated).
@@ -668,21 +605,15 @@ func (m *hadoopLogModule) Init(ctx *core.InitContext) error {
 				return fmt.Errorf("hadoop_log[%s]: dial %s: %w", m.nodes[i], addr, err)
 			}
 			m.clients = append(m.clients, client)
-			src := NewRPCLogSource(client, m.kind)
-			if wp.columnar {
-				// As with sadc: the JSON source is the fallback; a custom
-				// Dial hook without stream support keeps the JSON path.
-				if so, ok := client.(streamOpener); ok {
-					if src, err = NewColumnarLogSource(so, wp, m.nodes[i], m.kind, src); err != nil {
-						return fmt.Errorf("hadoop_log[%s]: %w", m.nodes[i], err)
-					}
-				}
+			src, err := NewColumnarLogSource(client, m.nodes[i], m.kind)
+			if err != nil {
+				return fmt.Errorf("hadoop_log[%s]: %w", m.nodes[i], err)
 			}
 			m.sources = append(m.sources, src)
 		}
 		if len(leaderAddrs) > 0 {
 			m.hier, err = newLeaderSet(m.env, ctx.ID(), m.nodes, leaderAddrs, leaderRanges,
-				rp, wp, hierarchy.MethodLogStream, m.statesPerVec)
+				rp, hierarchy.MethodLogStream, m.statesPerVec)
 			if err != nil {
 				return fmt.Errorf("hadoop_log: %w", err)
 			}

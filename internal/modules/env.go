@@ -33,12 +33,14 @@ type Env struct {
 	DNLogs map[string]*hadooplog.Buffer
 	// AlarmWriter receives print-module output; nil means io.Discard.
 	AlarmWriter io.Writer
-	// Dial opens an RPC client (remote collection mode); nil means a
-	// supervised rpc.ManagedClient built from RPCOptions, which dials
-	// lazily, reconnects with backoff, and trips a per-node circuit
-	// breaker — a dead daemon surfaces as per-iteration errors through
-	// the engine's error handler instead of killing the collector.
-	Dial func(addr, client string) (rpc.Caller, error)
+	// Dial opens the stream client for one collection daemon or shard
+	// leader (remote collection mode); nil means a supervised
+	// rpc.ManagedClient built from RPCOptions, which dials lazily,
+	// reconnects with backoff, and trips a per-node circuit breaker — a
+	// dead daemon surfaces as per-iteration errors through the engine's
+	// error handler instead of killing the collector. Benchmarks install an
+	// in-process stand-in that serves rows after a fixed latency.
+	Dial func(addr, client string) (Streamer, error)
 	// RPCOptions are the default resilience settings for managed
 	// connections; per-instance configuration parameters
 	// (reconnect_backoff, call_timeout, breaker_threshold,
@@ -54,12 +56,6 @@ type Env struct {
 	// is the instance's fanout parameter.
 	DefaultShards      int
 	DefaultShardFanout int
-	// DefaultWire is the environment-level default for the rpc-mode
-	// collection modules' wire parameter (cmd/asdf's -wire flag): "json"
-	// (or empty) keeps the JSON request/response path, "columnar" opens
-	// delta-encoded metric streams. Instance parameters override; the
-	// default is ignored by local-mode instances, which have no wire.
-	DefaultWire string
 	// Metrics, when non-nil, registers module telemetry for /metrics
 	// exposition: per-node RPC connection metrics on managed clients and
 	// the timestamp-sync degradation counters. Use the same registry the
@@ -80,6 +76,16 @@ type Env struct {
 	Actions map[string]func(node string) error
 }
 
+// Streamer is one collection-daemon or shard-leader connection as the
+// collection plane holds it: it opens pull-mode columnar streams.
+// *rpc.ManagedClient implements it; a custom Env.Dial may return an
+// in-process stand-in.
+type Streamer interface {
+	Stream(method string, params any) (rpc.Puller, error)
+}
+
+var _ Streamer = (*rpc.ManagedClient)(nil)
+
 // NewEnv returns an empty Env ready to be populated.
 func NewEnv() *Env {
 	return &Env{
@@ -94,7 +100,7 @@ func NewEnv() *Env {
 // hook, construction is lazy and never fails here: connection errors are
 // reported per call (with the node address) and retried by the engine's
 // periodic schedule.
-func (e *Env) dial(addr, client string, p config.ResilienceParams) (rpc.Caller, error) {
+func (e *Env) dial(addr, client string, p config.ResilienceParams) (Streamer, error) {
 	if e.Dial != nil {
 		return e.Dial(addr, client)
 	}

@@ -12,23 +12,29 @@ import (
 	"github.com/asdf-project/asdf/internal/sadc"
 )
 
-// delayedSadcCaller simulates a collection daemon one network round trip
-// away: each call sleeps for the configured latency, then returns a canned
-// record. Latency-bound concurrency gains show up even on a single CPU.
-type delayedSadcCaller struct {
+// delayedSadcDaemon simulates a collection daemon one network round trip
+// away: each pull sleeps for the configured latency, then serves one canned
+// sadc.metrics row. Latency-bound concurrency gains show up even on a
+// single CPU.
+type delayedSadcDaemon struct {
 	delay time.Duration
-	rec   sadc.Record
+	rows  []rpc.StreamRow
 }
 
-func (c *delayedSadcCaller) Call(method string, params, result any) error {
-	time.Sleep(c.delay)
-	if rec, ok := result.(*sadc.Record); ok {
-		*rec = c.rec
+// delayedSadcDial is an Env.Dial hook whose daemons answer after delay.
+func delayedSadcDial(delay time.Duration) func(addr, client string) (Streamer, error) {
+	return func(addr, client string) (Streamer, error) {
+		row := rpc.StreamRow{Present: []bool{true}, Values: make([]float64, len(sadc.NodeMetricNames))}
+		return &delayedSadcDaemon{delay: delay, rows: []rpc.StreamRow{row}}, nil
 	}
-	return nil
 }
 
-func (c *delayedSadcCaller) Close() error { return nil }
+func (d *delayedSadcDaemon) Stream(string, any) (rpc.Puller, error) { return d, nil }
+
+func (d *delayedSadcDaemon) Pull() ([]rpc.StreamRow, error) {
+	time.Sleep(d.delay)
+	return d.rows, nil
+}
 
 // BenchmarkCollectionShards measures per-tick collection latency at
 // simulated-cluster scale: one multi-node sadc instance polling daemons
@@ -53,12 +59,7 @@ func BenchmarkCollectionShards(b *testing.B) {
 					addrs[i] = fmt.Sprintf("10.0.0.%d:9999", i)
 				}
 				env := NewEnv()
-				env.Dial = func(addr, client string) (rpc.Caller, error) {
-					return &delayedSadcCaller{
-						delay: rpcLatency,
-						rec:   sadc.Record{Node: make([]float64, 64)},
-					}, nil
-				}
+				env.Dial = delayedSadcDial(rpcLatency)
 				cfgText := fmt.Sprintf(
 					"[sadc]\nid = collect\nnodes = %s\nmode = rpc\naddrs = %s\nperiod = 1s\nshards = %d\nshard_fanout = %d\n",
 					strings.Join(names, ","), strings.Join(addrs, ","), mode.shards, mode.shardFanout)
@@ -102,12 +103,7 @@ func BenchmarkCollectionFanout(b *testing.B) {
 					addrs[i] = fmt.Sprintf("10.0.0.%d:9999", i)
 				}
 				env := NewEnv()
-				env.Dial = func(addr, client string) (rpc.Caller, error) {
-					return &delayedSadcCaller{
-						delay: rpcLatency,
-						rec:   sadc.Record{Node: make([]float64, 64)},
-					}, nil
-				}
+				env.Dial = delayedSadcDial(rpcLatency)
 				cfgText := fmt.Sprintf(
 					"[sadc]\nid = collect\nnodes = %s\nmode = rpc\naddrs = %s\nperiod = 1s\nfanout = %d\n",
 					strings.Join(names, ","), strings.Join(addrs, ","), mode.fanout)

@@ -28,19 +28,16 @@ import (
 // connections (their addrs entries stay real; delegated entries are "-"),
 // so one instance can mix direct and delegated ranges.
 //
-// The root→leader hop follows the instance's wire parameter: JSON sweeps
-// (one request/response per tick) or the columnar stream counterpart —
-// including subscribe mode — with the same permanent per-leader JSON
-// fallback the per-daemon columnar sources use. Each leader connection is a
-// managed client: a dead leader trips a breaker and surfaces per-tick
-// errors for its whole range, so it degrades exactly like a dead node —
-// feeding the same supervisor failure budget, quarantine, degrade gap-fill,
-// and adaptive-controller observations — and its breaker state persists
-// through -state-file like any daemon's.
+// The root→leader hop is the same columnar pull the per-daemon sources use:
+// one frame per tick carrying one row per node of the range. Each leader
+// connection is a managed client: a dead leader trips a breaker and
+// surfaces per-tick errors for its whole range, so it degrades exactly like
+// a dead node — feeding the same supervisor failure budget, quarantine,
+// degrade gap-fill, and adaptive-controller observations — and its breaker
+// state persists through -state-file like any daemon's.
 
 // errNoPartial is the synthesized per-node error for a range index the
-// leader's columnar partial carried no row for (the node failed at the
-// leader; the JSON hop ships the real error string instead).
+// leader's partial carried no row for (the node failed at the leader).
 type errNoPartial struct {
 	addr string
 	node int
@@ -90,43 +87,25 @@ func markDelegated(n int, ranges []hierarchy.Range) []bool {
 }
 
 // leaderLink is one leader connection: its delegated range, managed client,
-// optional columnar stream, and accounting.
+// partial stream, and accounting.
 type leaderLink struct {
 	addr   string
 	rng    hierarchy.Range
-	client rpc.Caller
-	stream func() ([]rpc.StreamRow, error) // nil = JSON hop only
-	width  int                             // columns per node on the stream
+	client Streamer
+	stream rpc.Puller
+	width  int // metric columns per node on the stream
 
-	mu       sync.Mutex
-	fellBack bool // stream hop permanently fell back to JSON
-	st       LeaderStatus
+	mu sync.Mutex
+	st LeaderStatus
 
 	mPartials *telemetry.Counter
 	mErrors   *telemetry.Counter
 	mRestarts *telemetry.Counter
 }
 
-// jsonHop reports whether this tick should use the JSON sweep method.
-func (link *leaderLink) jsonHop() bool {
-	if link.stream == nil {
-		return true
-	}
-	link.mu.Lock()
-	defer link.mu.Unlock()
-	return link.fellBack
-}
-
-func (link *leaderLink) fallBack() {
-	link.mu.Lock()
-	link.fellBack = true
-	link.mu.Unlock()
-}
-
 // account records one fetch outcome and refreshes the link's health-derived
-// fields (connection health, observed leader restarts) plus any piggybacked
-// leader stats.
-func (link *leaderLink) account(err error, stats *hierarchy.Stats) {
+// fields (connection health, observed leader restarts).
+func (link *leaderLink) account(err error) {
 	link.mu.Lock()
 	defer link.mu.Unlock()
 	if err != nil {
@@ -148,11 +127,6 @@ func (link *leaderLink) account(err error, stats *hierarchy.Stats) {
 			}
 		}
 	}
-	if stats != nil {
-		link.st.LeaderSweeps = stats.Sweeps
-		link.st.LeaderNodeErrors = stats.NodeErrors
-		link.st.LeaderOpenBreakers = stats.OpenBreakers
-	}
 }
 
 // leaderSet is a collection instance's delegation plane: every leader link
@@ -165,11 +139,10 @@ type leaderSet struct {
 	mMergeWait *telemetry.Histogram
 }
 
-// newLeaderSet dials every leader and, under wire = columnar, opens the
-// range's partial stream (lazily; a leader that turns out not to speak the
-// stream protocol falls back to the JSON sweep per link, permanently).
+// newLeaderSet dials every leader and opens each range's partial stream
+// (lazily: no network happens until the first pull).
 func newLeaderSet(env *Env, id string, nodes, addrs []string, ranges []hierarchy.Range,
-	rp config.ResilienceParams, wp wireParams, streamMethod string, width int) (*leaderSet, error) {
+	rp config.ResilienceParams, streamMethod string, width int) (*leaderSet, error) {
 	ls := &leaderSet{id: id}
 	if reg := env.Metrics; reg != nil {
 		il := telemetry.L("instance", id)
@@ -195,13 +168,9 @@ func newLeaderSet(env *Env, id string, nodes, addrs []string, ranges []hierarchy
 			Range: ranges[i].String(),
 			Nodes: ranges[i].Len(),
 		}
-		if wp.columnar {
-			if so, ok := client.(streamOpener); ok {
-				req := hierarchy.StreamRequest{Nodes: nodes[ranges[i].Start:ranges[i].End]}
-				if link.stream, err = wp.open(so, streamMethod, req); err != nil {
-					return nil, fmt.Errorf("leader %s: %w", addr, err)
-				}
-			}
+		req := hierarchy.StreamRequest{Nodes: nodes[ranges[i].Start:ranges[i].End]}
+		if link.stream, err = client.Stream(streamMethod, req); err != nil {
+			return nil, fmt.Errorf("leader %s: %w", addr, err)
 		}
 		if reg := env.Metrics; reg != nil {
 			il := telemetry.L("instance", id)
@@ -220,8 +189,8 @@ func newLeaderSet(env *Env, id string, nodes, addrs []string, ranges []hierarchy
 
 // clients exposes the leader connections for breaker counting and
 // crash-safe export/import beside the instance's per-daemon clients.
-func (ls *leaderSet) clients() []rpc.Caller {
-	out := make([]rpc.Caller, len(ls.links))
+func (ls *leaderSet) clients() []Streamer {
+	out := make([]Streamer, len(ls.links))
 	for i, link := range ls.links {
 		out[i] = link.client
 	}
@@ -244,10 +213,6 @@ func (ls *leaderSet) statuses() []LeaderStatus {
 	for i, link := range ls.links {
 		link.mu.Lock()
 		st := link.st
-		st.Wire = "json"
-		if link.stream != nil && !link.fellBack {
-			st.Wire = "columnar"
-		}
 		link.mu.Unlock()
 		if h, ok := sourceHealth(link.client); ok {
 			st.Health = &h
@@ -260,7 +225,7 @@ func (ls *leaderSet) statuses() []LeaderStatus {
 // fetch runs do against every link concurrently, accounts the outcomes, and
 // observes the merge wait (the spread between the first and last partial)
 // plus the connected gauge.
-func (ls *leaderSet) fetch(do func(link *leaderLink) (*hierarchy.Stats, error)) {
+func (ls *leaderSet) fetch(do func(link *leaderLink) error) {
 	start := time.Now()
 	done := make([]time.Duration, len(ls.links))
 	var wg sync.WaitGroup
@@ -268,9 +233,9 @@ func (ls *leaderSet) fetch(do func(link *leaderLink) (*hierarchy.Stats, error)) 
 	for i, link := range ls.links {
 		go func(i int, link *leaderLink) {
 			defer wg.Done()
-			stats, err := do(link)
+			err := do(link)
 			done[i] = time.Since(start)
-			link.account(err, stats)
+			link.account(err)
 		}(i, link)
 	}
 	wg.Wait()
@@ -300,52 +265,23 @@ func (ls *leaderSet) fetch(do func(link *leaderLink) (*hierarchy.Stats, error)) 
 // range errored, so the publish loop skips it exactly as it skips dead
 // direct nodes.
 func (ls *leaderSet) sweepSadc(recs []*sadc.Record, errs []error) {
-	ls.fetch(func(link *leaderLink) (*hierarchy.Stats, error) {
-		stats, err := link.fetchSadc(recs, errs)
+	ls.fetch(func(link *leaderLink) error {
+		rows, err := link.stream.Pull()
+		if err == nil {
+			err = link.decodeSadcRows(rows, recs, errs)
+		}
 		if err != nil {
 			for i := link.rng.Start; i < link.rng.End; i++ {
 				recs[i], errs[i] = nil, fmt.Errorf("leader %s: %w", link.addr, err)
 			}
 		}
-		return stats, err
+		return err
 	})
 }
 
-func (link *leaderLink) fetchSadc(recs []*sadc.Record, errs []error) (*hierarchy.Stats, error) {
-	if !link.jsonHop() {
-		rows, err := link.stream()
-		switch {
-		case err == nil:
-			return nil, link.decodeSadcRows(rows, recs, errs)
-		case rpc.IsStreamUnsupported(err):
-			link.fallBack()
-		default:
-			return nil, err
-		}
-	}
-	var resp hierarchy.SadcSweepResponse
-	if err := link.client.Call(hierarchy.MethodSadcSweep, nil, &resp); err != nil {
-		return nil, err
-	}
-	if len(resp.Records) != link.rng.Len() {
-		return nil, fmt.Errorf("%d records for a %d-node range", len(resp.Records), link.rng.Len())
-	}
-	for j, r := range resp.Records {
-		i := link.rng.Start + j
-		if r.Err != "" {
-			recs[i], errs[i] = nil, fmt.Errorf("leader %s: %s", link.addr, r.Err)
-			continue
-		}
-		recs[i] = &sadc.Record{Warmup: r.Warmup, Node: r.Node}
-		errs[i] = nil
-	}
-	stats := resp.Stats
-	return &stats, nil
-}
-
-// decodeSadcRows merges a columnar partial: one row per node, tagged with
-// its range offset in the leading node-index column. Indexes with no row
-// get a synthesized error — the node failed at the leader.
+// decodeSadcRows merges a partial: one row per node, tagged with its range
+// offset in the leading node-index column. Indexes with no row get a
+// synthesized error — the node failed at the leader.
 func (link *leaderLink) decodeSadcRows(rows []rpc.StreamRow, recs []*sadc.Record, errs []error) error {
 	n := link.rng.Len()
 	seen := make([]bool, n)
@@ -379,62 +315,25 @@ func (link *leaderLink) decodeSadcRows(rows []rpc.StreamRow, recs []*sadc.Record
 // module's per-node scratch. Leader failure marks the range errored — which
 // the sync stage treats as "no new vectors", the same as a dead node.
 func (ls *leaderSet) sweepLog(fetched [][]hadooplog.StateVector, errs []error) {
-	ls.fetch(func(link *leaderLink) (*hierarchy.Stats, error) {
-		stats, err := link.fetchLog(fetched, errs)
+	ls.fetch(func(link *leaderLink) error {
+		rows, err := link.stream.Pull()
+		if err == nil {
+			err = link.decodeLogRows(rows, fetched, errs)
+		}
 		if err != nil {
 			for i := link.rng.Start; i < link.rng.End; i++ {
 				fetched[i], errs[i] = nil, fmt.Errorf("leader %s: %w", link.addr, err)
 			}
 		}
-		return stats, err
+		return err
 	})
 }
 
-func (link *leaderLink) fetchLog(fetched [][]hadooplog.StateVector, errs []error) (*hierarchy.Stats, error) {
-	if !link.jsonHop() {
-		rows, err := link.stream()
-		switch {
-		case err == nil:
-			return nil, link.decodeLogRows(rows, fetched, errs)
-		case rpc.IsStreamUnsupported(err):
-			link.fallBack()
-		default:
-			return nil, err
-		}
-	}
-	var resp hierarchy.LogSweepResponse
-	if err := link.client.Call(hierarchy.MethodLogSweep, nil, &resp); err != nil {
-		return nil, err
-	}
-	if len(resp.Nodes) != link.rng.Len() {
-		return nil, fmt.Errorf("%d nodes for a %d-node range", len(resp.Nodes), link.rng.Len())
-	}
-	for j, ln := range resp.Nodes {
-		i := link.rng.Start + j
-		if ln.Err != "" {
-			fetched[i], errs[i] = nil, fmt.Errorf("leader %s: %s", link.addr, ln.Err)
-			continue
-		}
-		errs[i] = nil
-		if len(ln.Vectors) == 0 {
-			fetched[i] = nil
-			continue
-		}
-		vecs := make([]hadooplog.StateVector, len(ln.Vectors))
-		for k, v := range ln.Vectors {
-			vecs[k] = hadooplog.StateVector{Time: v.Time, Counts: v.Counts}
-		}
-		fetched[i] = vecs
-	}
-	stats := resp.Stats
-	return &stats, nil
-}
-
-// decodeLogRows merges a columnar log partial: one row per finalized
-// vector, tagged with its node offset, appended in frame order (the leader
-// emits each node's vectors in time order). A node with no rows simply has
-// no new vectors this tick — per-node fetch errors don't cross the columnar
-// hop, and don't need to: the sync stage treats both identically.
+// decodeLogRows merges a log partial: one row per finalized vector, tagged
+// with its node offset, appended in frame order (the leader emits each
+// node's vectors in time order). A node with no rows simply has no new
+// vectors this tick — per-node fetch errors don't cross the hop, and don't
+// need to: the sync stage treats both identically.
 func (link *leaderLink) decodeLogRows(rows []rpc.StreamRow, fetched [][]hadooplog.StateVector, errs []error) error {
 	for i := link.rng.Start; i < link.rng.End; i++ {
 		fetched[i], errs[i] = nil, nil

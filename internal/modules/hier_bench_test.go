@@ -10,13 +10,12 @@ import (
 	"github.com/asdf-project/asdf/internal/core"
 	"github.com/asdf-project/asdf/internal/hierarchy"
 	"github.com/asdf-project/asdf/internal/rpc"
-	"github.com/asdf-project/asdf/internal/sadc"
 )
 
 // BenchmarkCollectionHier measures per-tick collection latency of the
 // hierarchical plane: one root delegating the whole fleet to eight shard
-// leaders (in-process Leaders behind real loopback RPC servers, columnar
-// root hop) versus the single-process sweep, with every simulated daemon a
+// leaders (in-process Leaders behind real loopback RPC servers, pulled
+// columnar root hop) versus the single-process sweep, with every simulated daemon a
 // fixed 500µs round trip away. Leaders sweep their ranges concurrently and
 // the root fetches all partials concurrently, so per-tick latency drops
 // toward nodes/(leaders×fanout) round trips. The mode=... suffix is
@@ -34,12 +33,7 @@ func BenchmarkCollectionHier(b *testing.B) {
 					names[i] = fmt.Sprintf("n%04d", i)
 					fakeAddrs[i] = fmt.Sprintf("10.0.0.%d:9999", i)
 				}
-				dial := func(addr, client string) (rpc.Caller, error) {
-					return &delayedSadcCaller{
-						delay: rpcLatency,
-						rec:   sadc.Record{Node: make([]float64, 64)},
-					}, nil
-				}
+				dial := delayedSadcDial(rpcLatency)
 				env := NewEnv()
 				var cfgText string
 				if mode == "single" {
@@ -82,7 +76,7 @@ func BenchmarkCollectionHier(b *testing.B) {
 						dashes[i] = "-"
 					}
 					cfgText = fmt.Sprintf(
-						"[sadc]\nid = collect\nnodes = %s\nmode = rpc\naddrs = %s\nperiod = 1s\nwire = columnar\nleaders = %s\nleader_ranges = %s\n",
+						"[sadc]\nid = collect\nnodes = %s\nmode = rpc\naddrs = %s\nperiod = 1s\nleaders = %s\nleader_ranges = %s\n",
 						strings.Join(names, ","), strings.Join(dashes, ","),
 						strings.Join(leaderAddrs, ","), strings.Join(ranges, ","))
 				}

@@ -2,7 +2,6 @@ package modules
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -19,15 +18,10 @@ import (
 )
 
 // hierLeader is one shard leader in a test topology: its delegated range
-// and its own transport knobs (leader→daemon wire, batching, shards). With
-// jsonHop the leader serves only the JSON sweep methods — a pre-columnar
-// leader build — so a columnar root must fall back per leader.
+// and its own shard count over that range.
 type hierLeader struct {
-	rng     hierarchy.Range
-	wire    string
-	batch   bool
-	shards  int
-	jsonHop bool
+	rng    hierarchy.Range
+	shards int
 }
 
 // startLeader builds a Leader over the fleet's daemons and serves it on
@@ -40,8 +34,6 @@ func startLeader(t *testing.T, c *hadoopsim.Cluster, li int, sp hierLeader, node
 	opt := LeaderOptions{
 		Name:   fmt.Sprintf("leader%d", li),
 		Nodes:  nodes[sp.rng.Start:sp.rng.End],
-		Wire:   sp.wire,
-		Batch:  sp.batch,
 		Shards: config.ShardParams{Shards: sp.shards},
 	}
 	if sadcAddrs != nil {
@@ -56,28 +48,13 @@ func startLeader(t *testing.T, c *hadoopsim.Cluster, li int, sp hierLeader, node
 		t.Fatal(err)
 	}
 	srv := rpc.NewServer(hierarchy.ServiceLeader)
-	registerTestLeader(srv, ldr, sp.jsonHop)
+	ldr.Register(srv)
 	a, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = srv.Close() })
 	return ldr, a.String()
-}
-
-// registerTestLeader registers the full leader surface, or — for a
-// pre-columnar leader build — the JSON sweep methods alone.
-func registerTestLeader(srv *rpc.Server, ldr *Leader, jsonHop bool) {
-	if !jsonHop {
-		ldr.Register(srv)
-		return
-	}
-	srv.Handle(hierarchy.MethodSadcSweep, func(json.RawMessage) (any, error) {
-		return ldr.SadcSweep()
-	})
-	srv.Handle(hierarchy.MethodLogSweep, func(json.RawMessage) (any, error) {
-		return ldr.LogSweep()
-	})
 }
 
 // hierParams renders the delegation lines of a root instance config.
@@ -106,7 +83,7 @@ func maskDelegated(addrs []string, specs []hierLeader) []string {
 
 // runHierSadcCase runs the multi-node sadc collector with part of the fleet
 // delegated to shard-leader processes and returns the CSV sink bytes; the
-// direct runWireSadcCase output for the same cluster seed is the comparison
+// local runWireSadcCase output for the same cluster seed is the comparison
 // baseline.
 func runHierSadcCase(t *testing.T, slaves int, seed int64, wc wireCase, specs []hierLeader) []byte {
 	t.Helper()
@@ -115,13 +92,9 @@ func runHierSadcCase(t *testing.T, slaves int, seed int64, wc wireCase, specs []
 		t.Fatal(err)
 	}
 	var names, addrs []string
-	for i, n := range c.Slaves() {
+	for _, n := range c.Slaves() {
 		srv := rpc.NewServer(ServiceSadc)
-		if wc.jsonOnly[i] {
-			registerSadcJSON(srv, n)
-		} else {
-			RegisterSadcServer(srv, n)
-		}
+		RegisterSadcServer(srv, n)
 		addr, err := srv.Listen("127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
@@ -160,57 +133,35 @@ func runHierSadcCase(t *testing.T, slaves int, seed int64, wc wireCase, specs []
 }
 
 // TestHierarchySadcMatchesDirect asserts the hierarchical collection plane
-// logs CSV byte-identical to the single-process configuration, across the
-// root-hop and leader-hop transport matrix.
+// logs CSV byte-identical to local single-process collection, across
+// delegated, partially delegated, and sharded topologies.
 func TestHierarchySadcMatchesDirect(t *testing.T) {
 	const slaves, seed = 6, 1201
-	baseline := runWireSadcCase(t, slaves, seed, wireCase{wire: "json"})
+	baseline := runWireSadcCase(t, slaves, seed, wireCase{local: true})
 	if len(baseline) == 0 {
-		t.Fatal("direct baseline produced no CSV output")
+		t.Fatal("local baseline produced no CSV output")
 	}
 	cases := []struct {
 		name  string
 		wc    wireCase
 		specs []hierLeader
 	}{
-		{"two-leaders-json", wireCase{wire: "json"},
-			[]hierLeader{{rng: hierarchy.Range{Start: 0, End: 3}}, {rng: hierarchy.Range{Start: 3, End: 6}}}},
 		{"partial-delegation", wireCase{},
 			[]hierLeader{{rng: hierarchy.Range{Start: 2, End: 5}}}},
-		{"columnar-hop", wireCase{wire: "columnar"},
+		{"columnar-hop", wireCase{},
+			[]hierLeader{{rng: hierarchy.Range{Start: 0, End: 3}}, {rng: hierarchy.Range{Start: 3, End: 6}}}},
+		{"leader-shards", wireCase{},
 			[]hierLeader{
-				{rng: hierarchy.Range{Start: 0, End: 3}, wire: "columnar"},
-				{rng: hierarchy.Range{Start: 3, End: 6}, wire: "columnar"}}},
-		{"columnar-subscribe-hop", wireCase{wire: "columnar", subscribe: true},
-			[]hierLeader{
-				{rng: hierarchy.Range{Start: 0, End: 3}, wire: "columnar"},
-				{rng: hierarchy.Range{Start: 3, End: 6}, wire: "columnar"}}},
-		{"columnar-hop-json-daemons", wireCase{wire: "columnar"},
-			[]hierLeader{
-				{rng: hierarchy.Range{Start: 0, End: 3}, wire: "json"},
-				{rng: hierarchy.Range{Start: 3, End: 6}, wire: "json"}}},
-		{"leader-shards-and-batch", wireCase{wire: "json"},
-			[]hierLeader{
-				{rng: hierarchy.Range{Start: 0, End: 4}, batch: true, shards: 2},
-				{rng: hierarchy.Range{Start: 4, End: 6}, wire: "columnar"}}},
-		{"sharded-root-mixed-ranges", wireCase{wire: "columnar", shards: 3},
-			[]hierLeader{{rng: hierarchy.Range{Start: 0, End: 2}, wire: "columnar"}}},
-		// A pre-columnar leader build: the root's columnar hop must fall
-		// back to the JSON sweep for that leader alone.
-		{"pre-columnar-leader-fallback", wireCase{wire: "columnar"},
-			[]hierLeader{
-				{rng: hierarchy.Range{Start: 0, End: 3}, jsonHop: true},
-				{rng: hierarchy.Range{Start: 3, End: 6}, wire: "columnar"}}},
-		// Mixed-version fleet: one fully columnar leader range beside a
-		// direct range of pre-columnar daemons (per-node JSON fallback).
-		{"mixed-version-fleet", wireCase{wire: "columnar", jsonOnly: map[int]bool{3: true, 4: true, 5: true}},
-			[]hierLeader{{rng: hierarchy.Range{Start: 0, End: 3}, wire: "columnar"}}},
+				{rng: hierarchy.Range{Start: 0, End: 4}, shards: 2},
+				{rng: hierarchy.Range{Start: 4, End: 6}}}},
+		{"sharded-root-mixed-ranges", wireCase{shards: 3},
+			[]hierLeader{{rng: hierarchy.Range{Start: 0, End: 2}}}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			got := runHierSadcCase(t, slaves, seed, tc.wc, tc.specs)
 			if !bytes.Equal(baseline, got) {
-				t.Errorf("sink output differs from direct baseline: %d bytes vs %d",
+				t.Errorf("sink output differs from local baseline: %d bytes vs %d",
 					len(got), len(baseline))
 			}
 		})
@@ -225,13 +176,9 @@ func runHierLogCase(t *testing.T, slaves int, seed int64, wc wireCase, specs []h
 		t.Fatal(err)
 	}
 	var names, addrs []string
-	for i, n := range c.Slaves() {
+	for _, n := range c.Slaves() {
 		srv := rpc.NewServer(ServiceHadoopLog)
-		if wc.jsonOnly[i] {
-			registerHadoopLogJSON(srv, n.TaskTrackerLog(), n.DataNodeLog(), c.Now)
-		} else {
-			RegisterHadoopLogServer(srv, n.TaskTrackerLog(), n.DataNodeLog(), c.Now)
-		}
+		RegisterHadoopLogServer(srv, n.TaskTrackerLog(), n.DataNodeLog(), c.Now)
 		addr, err := srv.Listen("127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
@@ -273,35 +220,25 @@ func runHierLogCase(t *testing.T, slaves int, seed int64, wc wireCase, specs []h
 // ranges must feed the timestamp synchronizer to byte-identical output.
 func TestHierarchyLogMatchesDirect(t *testing.T) {
 	const slaves, seed = 4, 1202
-	baseline := runWireLogCase(t, slaves, seed, wireCase{wire: "json"})
+	baseline := runWireLogCase(t, slaves, seed, wireCase{local: true})
 	if len(baseline) == 0 {
-		t.Fatal("direct baseline produced no CSV output")
+		t.Fatal("local baseline produced no CSV output")
 	}
 	cases := []struct {
 		name  string
 		wc    wireCase
 		specs []hierLeader
 	}{
-		{"two-leaders-json", wireCase{wire: "json"},
-			[]hierLeader{{rng: hierarchy.Range{Start: 0, End: 2}}, {rng: hierarchy.Range{Start: 2, End: 4}}}},
 		{"partial-delegation", wireCase{},
 			[]hierLeader{{rng: hierarchy.Range{Start: 1, End: 3}}}},
-		{"columnar-hop", wireCase{wire: "columnar"},
-			[]hierLeader{
-				{rng: hierarchy.Range{Start: 0, End: 2}, wire: "columnar"},
-				{rng: hierarchy.Range{Start: 2, End: 4}, wire: "columnar"}}},
-		{"columnar-subscribe-hop", wireCase{wire: "columnar", subscribe: true},
-			[]hierLeader{{rng: hierarchy.Range{Start: 0, End: 3}, wire: "columnar"}}},
-		{"pre-columnar-leader-fallback", wireCase{wire: "columnar"},
-			[]hierLeader{
-				{rng: hierarchy.Range{Start: 0, End: 2}, jsonHop: true},
-				{rng: hierarchy.Range{Start: 2, End: 4}, wire: "columnar"}}},
+		{"columnar-hop", wireCase{},
+			[]hierLeader{{rng: hierarchy.Range{Start: 0, End: 2}}, {rng: hierarchy.Range{Start: 2, End: 4}}}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			got := runHierLogCase(t, slaves, seed, tc.wc, tc.specs)
 			if !bytes.Equal(baseline, got) {
-				t.Errorf("sink output differs from direct baseline: %d bytes vs %d",
+				t.Errorf("sink output differs from local baseline: %d bytes vs %d",
 					len(got), len(baseline))
 			}
 		})
@@ -309,7 +246,8 @@ func TestHierarchyLogMatchesDirect(t *testing.T) {
 }
 
 // TestHierParamValidation pins the configuration contract for the
-// delegation knobs.
+// multi-node addressing and delegation knobs. An empty wantErr marks a
+// config that must be accepted.
 func TestHierParamValidation(t *testing.T) {
 	c, err := hadoopsim.NewCluster(hadoopsim.DefaultConfig(2, 7))
 	if err != nil {
@@ -361,6 +299,17 @@ func TestHierParamValidation(t *testing.T) {
 			"[hadoop_log]\nid = h\nkind = tasktracker\nnodes = " + nodes + "\nleaders = 127.0.0.1:1\nleader_ranges = 0-2\n",
 			"leaders requires mode = rpc",
 		},
+		// Both collectors drop empty list entries in nodes and addrs alike.
+		{
+			"sadc-trailing-comma-addrs",
+			"[sadc]\nid = s\nnodes = " + nodes + ",\nmode = rpc\naddrs = 127.0.0.1:1,127.0.0.1:2,\n",
+			"",
+		},
+		{
+			"hadoop-log-trailing-comma-addrs",
+			"[hadoop_log]\nid = h\nkind = tasktracker\nnodes = " + nodes + ",\nmode = rpc\naddrs = 127.0.0.1:1,127.0.0.1:2,\n",
+			"",
+		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg, err := config.ParseString(tc.cfg)
@@ -368,6 +317,12 @@ func TestHierParamValidation(t *testing.T) {
 				t.Fatal(err)
 			}
 			_, err = core.NewEngine(NewRegistry(env), cfg)
+			if tc.wantErr == "" {
+				if err != nil {
+					t.Errorf("error = %v, want the config accepted", err)
+				}
+				return
+			}
 			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 				t.Errorf("error = %v, want substring %q", err, tc.wantErr)
 			}
@@ -480,7 +435,7 @@ func TestHierarchyDaemonOutageMatchesDirect(t *testing.T) {
 	}{
 		{"one-leader-covers-outage", []hierLeader{{rng: hierarchy.Range{Start: 0, End: 3}}}},
 		{"outage-split-across-leaders", []hierLeader{
-			{rng: hierarchy.Range{Start: 0, End: 2}, wire: "columnar"},
+			{rng: hierarchy.Range{Start: 0, End: 2}},
 			{rng: hierarchy.Range{Start: 2, End: 4}}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

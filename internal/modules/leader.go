@@ -15,13 +15,12 @@ import (
 )
 
 // The shard-leader side of the hierarchical collection plane (cmd/asdf-shardd):
-// a Leader owns the per-daemon managed connections, shard sweeps, and wire
-// negotiation for one contiguous node range, and serves merged per-tick
-// partials to the root over hierarchy's JSON sweep methods and their
-// columnar stream counterparts. Sweeps are pull-driven — one sweep per root
-// request — so the root's tick clock paces the whole tree and daemon-side
-// rate state advances exactly as if the root polled the daemons directly,
-// which is what keeps hierarchical sink output byte-identical to the
+// a Leader owns the per-daemon managed connections and shard sweeps for one
+// contiguous node range, and serves merged per-tick partials to the root as
+// hierarchy's columnar streams. Sweeps are pull-driven — one sweep per root
+// pull — so the root's tick clock paces the whole tree and daemon-side rate
+// state advances exactly as if the root polled the daemons directly, which
+// is what keeps hierarchical sink output byte-identical to the
 // single-process configuration.
 
 // LeaderOptions configures a Leader. The node list is the leader's slice of
@@ -39,16 +38,11 @@ type LeaderOptions struct {
 	LogAddrs []string
 	// LogKind selects which daemon log the log plane reads.
 	LogKind hadooplog.Kind
-	// Fanout, Shards, and Batch mirror the collection-module parameters of
-	// the same names: concurrent-fetch budget, independent shard workers
-	// over the leader's range, and batched JSON fetches.
+	// Fanout and Shards mirror the collection-module parameters of the
+	// same names: concurrent-fetch budget and independent shard workers
+	// over the leader's range.
 	Fanout int
 	Shards config.ShardParams
-	Batch  bool
-	// Wire selects the leader→daemon transport: "" or "json" keeps the
-	// JSON request/response path, "columnar" opens delta-encoded streams
-	// with per-node JSON fallback, exactly as on a single-process root.
-	Wire string
 	// Resilience tunes the leader→daemon managed connections.
 	Resilience config.ResilienceParams
 }
@@ -59,7 +53,7 @@ type LeaderOptions struct {
 // persists its daemon breaker state through the same machinery as a root's.
 type leaderPlane struct {
 	nodes   []string
-	clients []rpc.Caller
+	clients []Streamer
 	metric  []MetricSource // sadc plane
 	logs    []LogSource    // log plane
 	sweeper *shardSweeper
@@ -119,9 +113,8 @@ func (p *leaderPlane) stats() hierarchy.Stats {
 }
 
 // Leader runs the collection plane for one delegated node range and serves
-// it over RPC. All sweep entry points (JSON and stream, either plane) are
-// serialized per plane, so a root reconnecting mid-tick cannot interleave
-// two sweeps over the shared scratch.
+// it over RPC. Sweeps are serialized per plane, so a root reconnecting
+// mid-tick cannot interleave two sweeps over the shared scratch.
 type Leader struct {
 	env  *Env
 	name string
@@ -131,9 +124,7 @@ type Leader struct {
 }
 
 // NewLeader builds a Leader: it dials (lazily) every daemon in the range
-// and wires the same source stack a single-process root would use — plain
-// or batched JSON, with columnar streams and per-node fallback under
-// Wire = "columnar".
+// and opens the same columnar pull sources a single-process root would.
 func NewLeader(env *Env, opt LeaderOptions) (*Leader, error) {
 	if env == nil {
 		env = NewEnv()
@@ -143,14 +134,6 @@ func NewLeader(env *Env, opt LeaderOptions) (*Leader, error) {
 	}
 	if len(opt.SadcAddrs) == 0 && len(opt.LogAddrs) == 0 {
 		return nil, fmt.Errorf("leader: no sadc or hadoop_log daemon addresses")
-	}
-	var wp wireParams
-	switch opt.Wire {
-	case "", "json":
-	case "columnar":
-		wp.columnar = true
-	default:
-		return nil, fmt.Errorf("leader: unknown wire %q (want json or columnar)", opt.Wire)
 	}
 	l := &Leader{env: env, name: opt.Name, kind: opt.LogKind}
 	if len(opt.SadcAddrs) > 0 {
@@ -164,24 +147,9 @@ func NewLeader(env *Env, opt LeaderOptions) (*Leader, error) {
 				return nil, fmt.Errorf("leader[%s]: dial %s: %w", opt.Nodes[i], a, err)
 			}
 			p.clients = append(p.clients, client)
-			var src MetricSource
-			if opt.Batch {
-				bc, ok := client.(rpc.BatchCaller)
-				if !ok {
-					return nil, fmt.Errorf("leader[%s]: batch requires a batch-capable client", opt.Nodes[i])
-				}
-				if src, err = NewBatchedMetricSource(bc, nil, nil); err != nil {
-					return nil, fmt.Errorf("leader[%s]: %w", opt.Nodes[i], err)
-				}
-			} else {
-				src = NewRPCMetricSource(client)
-			}
-			if wp.columnar {
-				if so, ok := client.(streamOpener); ok {
-					if src, err = NewColumnarMetricSource(so, wp, opt.Nodes[i], nil, nil, src); err != nil {
-						return nil, fmt.Errorf("leader[%s]: %w", opt.Nodes[i], err)
-					}
-				}
+			src, err := NewColumnarMetricSource(client, opt.Nodes[i], nil, nil)
+			if err != nil {
+				return nil, fmt.Errorf("leader[%s]: %w", opt.Nodes[i], err)
 			}
 			p.metric = append(p.metric, src)
 		}
@@ -201,13 +169,9 @@ func NewLeader(env *Env, opt LeaderOptions) (*Leader, error) {
 				return nil, fmt.Errorf("leader[%s]: dial %s: %w", opt.Nodes[i], a, err)
 			}
 			p.clients = append(p.clients, client)
-			src := NewRPCLogSource(client, opt.LogKind)
-			if wp.columnar {
-				if so, ok := client.(streamOpener); ok {
-					if src, err = NewColumnarLogSource(so, wp, opt.Nodes[i], opt.LogKind, src); err != nil {
-						return nil, fmt.Errorf("leader[%s]: %w", opt.Nodes[i], err)
-					}
-				}
+			src, err := NewColumnarLogSource(client, opt.Nodes[i], opt.LogKind)
+			if err != nil {
+				return nil, fmt.Errorf("leader[%s]: %w", opt.Nodes[i], err)
 			}
 			p.logs = append(p.logs, src)
 		}
@@ -251,63 +215,6 @@ func (l *Leader) sweepLogLocked() {
 	}
 }
 
-// SadcSweep serves one JSON-hop sweep (hierarchy.MethodSadcSweep).
-func (l *Leader) SadcSweep() (hierarchy.SadcSweepResponse, error) {
-	p := l.sadc
-	if p == nil {
-		return hierarchy.SadcSweepResponse{}, fmt.Errorf("leader: no sadc plane configured")
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	l.sweepSadcLocked()
-	resp := hierarchy.SadcSweepResponse{Records: make([]hierarchy.SadcRecord, len(p.nodes))}
-	for i, rec := range p.recs {
-		if err := p.errs[i]; err != nil {
-			resp.Records[i] = hierarchy.SadcRecord{Err: err.Error()}
-			continue
-		}
-		resp.Records[i] = hierarchy.SadcRecord{Warmup: rec.Warmup, Node: rec.Node}
-	}
-	resp.Stats = hierarchy.Stats{
-		Nodes:      len(p.nodes),
-		Sweeps:     p.sweeps,
-		NodeErrors: p.nodeErrors,
-	}
-	resp.Stats.OpenBreakers, _ = countBreakers(p.clients)
-	return resp, nil
-}
-
-// LogSweep serves one JSON-hop sweep (hierarchy.MethodLogSweep).
-func (l *Leader) LogSweep() (hierarchy.LogSweepResponse, error) {
-	p := l.log
-	if p == nil {
-		return hierarchy.LogSweepResponse{}, fmt.Errorf("leader: no hadoop_log plane configured")
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	l.sweepLogLocked()
-	resp := hierarchy.LogSweepResponse{Nodes: make([]hierarchy.LogNode, len(p.nodes))}
-	for i, vecs := range p.vecs {
-		if err := p.errs[i]; err != nil {
-			resp.Nodes[i] = hierarchy.LogNode{Err: err.Error()}
-			continue
-		}
-		lvs := make([]hierarchy.LogVector, len(vecs))
-		for j, v := range vecs {
-			lvs[j] = hierarchy.LogVector{Time: v.Time, Counts: v.Counts}
-		}
-		resp.Nodes[i] = hierarchy.LogNode{Vectors: lvs}
-		p.vecs[i] = nil
-	}
-	resp.Stats = hierarchy.Stats{
-		Nodes:      len(p.nodes),
-		Sweeps:     p.sweeps,
-		NodeErrors: p.nodeErrors,
-	}
-	resp.Stats.OpenBreakers, _ = countBreakers(p.clients)
-	return resp, nil
-}
-
 // Status serves hierarchy.MethodStatus.
 func (l *Leader) Status() hierarchy.StatusResponse {
 	resp := hierarchy.StatusResponse{Name: l.name}
@@ -322,8 +229,8 @@ func (l *Leader) Status() hierarchy.StatusResponse {
 	return resp
 }
 
-// leaderSadcStream adapts the leader's sadc sweep to the columnar stream
-// protocol: one row per node per tick in a single narrow group whose
+// leaderSadcStream serves the leader's sadc sweep as a columnar stream: one
+// row per node per tick in a single narrow group whose
 // leading hierarchy.NodeIndexColumn column carries the node's offset within
 // the range. Rows stay O(metric width) regardless of range size — a
 // group-per-node schema would materialize O(range²) cells per tick at the
@@ -374,7 +281,7 @@ func (s *leaderSadcStream) Collect(fw *rpc.FrameWriter) error {
 	return nil
 }
 
-// leaderLogStream is the log plane's columnar counterpart: one row per
+// leaderLogStream is the log plane's counterpart: one row per
 // newly finalized per-second vector, tagged with its node offset; a quiet
 // tick is an empty frame. A failed node is indistinguishable from a quiet
 // one on this hop — which matches the sync semantics, since the root treats
@@ -439,13 +346,10 @@ func checkStreamNodes(params json.RawMessage, nodes []string) error {
 	return nil
 }
 
-// Register exposes the leader's sweep surface on srv: the JSON methods,
-// their columnar stream counterparts, and the status method.
+// Register exposes the leader's sweep surface on srv: the partial streams
+// and the status method.
 func (l *Leader) Register(srv *rpc.Server) {
 	if l.sadc != nil {
-		srv.Handle(hierarchy.MethodSadcSweep, func(json.RawMessage) (any, error) {
-			return l.SadcSweep()
-		})
 		srv.HandleStream(hierarchy.MethodSadcStream, func(params json.RawMessage) (rpc.StreamSource, error) {
 			if err := checkStreamNodes(params, l.sadc.nodes); err != nil {
 				return nil, err
@@ -454,9 +358,6 @@ func (l *Leader) Register(srv *rpc.Server) {
 		})
 	}
 	if l.log != nil {
-		srv.Handle(hierarchy.MethodLogSweep, func(json.RawMessage) (any, error) {
-			return l.LogSweep()
-		})
 		srv.HandleStream(hierarchy.MethodLogStream, func(params json.RawMessage) (rpc.StreamSource, error) {
 			if err := checkStreamNodes(params, l.log.nodes); err != nil {
 				return nil, err

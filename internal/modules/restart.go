@@ -35,7 +35,7 @@ type breakerImporter interface {
 // exportBreakers snapshots every supervised client's breaker, keyed by
 // daemon address; nil when no client is supervised (local mode or a custom
 // dialer).
-func exportBreakers(clients []rpc.Caller) map[string]rpc.BreakerSnapshot {
+func exportBreakers(clients []Streamer) map[string]rpc.BreakerSnapshot {
 	var out map[string]rpc.BreakerSnapshot
 	for _, c := range clients {
 		be, ok := c.(breakerExporter)
@@ -56,7 +56,7 @@ func exportBreakers(clients []rpc.Caller) map[string]rpc.BreakerSnapshot {
 // as open with a re-probe time drawn from the planner, so a restarted
 // control node staggers its probes of known-dead daemons instead of dialing
 // them all on the first tick. Returns how many clients were restored.
-func importBreakers(clients []rpc.Caller, snaps map[string]rpc.BreakerSnapshot, plan *rpc.ProbePlanner) int {
+func importBreakers(clients []Streamer, snaps map[string]rpc.BreakerSnapshot, plan *rpc.ProbePlanner) int {
 	if len(snaps) == 0 {
 		return 0
 	}
@@ -86,7 +86,7 @@ func importBreakers(clients []rpc.Caller, snaps map[string]rpc.BreakerSnapshot, 
 
 // countBreakers reports how many of the module's supervised connections
 // have an open breaker, out of how many supervised connections total.
-func countBreakers(clients []rpc.Caller) (open, total int) {
+func countBreakers(clients []Streamer) (open, total int) {
 	for _, c := range clients {
 		h, ok := sourceHealth(c)
 		if !ok {

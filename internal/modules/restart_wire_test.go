@@ -12,17 +12,17 @@ import (
 	"github.com/asdf-project/asdf/internal/rpc"
 )
 
-// TestSubscriptionResyncComposesWithReplayGuard proves the crash-safe
-// restart path composes with the columnar push transport: a restarted
-// control node's fresh ManagedSubscription resyncs from the daemon (schema
-// re-send plus a full history replay, since server-side stream state died
-// with the old connection), and the restored replay watermark suppresses
-// every second the previous life already published. The two lives'
+// TestStreamResyncComposesWithReplayGuard proves the crash-safe restart
+// path composes with the columnar pull transport: a restarted control
+// node's fresh streams resync from the daemon (schema re-send plus a full
+// history replay, since server-side stream state lives with the old
+// connection), and the restored replay watermark suppresses every second
+// the previous life already published. The two lives'
 // concatenated CSV must be byte-identical to an uninterrupted run — no
 // duplicate rows, no out-of-order rows, no gap.
-func TestSubscriptionResyncComposesWithReplayGuard(t *testing.T) {
+func TestStreamResyncComposesWithReplayGuard(t *testing.T) {
 	const slaves, seed = 4, 1105
-	baseline := runWireLogCase(t, slaves, seed, wireCase{wire: "columnar", subscribe: true})
+	baseline := runWireLogCase(t, slaves, seed, wireCase{})
 	if len(baseline) == 0 {
 		t.Fatal("uninterrupted baseline produced no CSV output")
 	}
@@ -51,12 +51,12 @@ func TestSubscriptionResyncComposesWithReplayGuard(t *testing.T) {
 	// runLife boots a control node, applies restore (the state manager's
 	// boot-time hook), runs 15 ticks, and flushes the sink so the test can
 	// read what this life published. The engine is then abandoned without
-	// teardown — its subscriptions left dangling like a kill -9's half-dead
+	// teardown — its streams left dangling like a kill -9's half-dead
 	// sockets.
 	runLife := func(csvPath string, restore func(*hadoopLogModule)) *hadoopLogModule {
 		t.Helper()
 		var b strings.Builder
-		fmt.Fprintf(&b, "[hadoop_log]\nid = hl\nkind = tasktracker\nnodes = %s\nmode = rpc\naddrs = %s\nperiod = 1\nwire = columnar\nsubscribe = true\n\n",
+		fmt.Fprintf(&b, "[hadoop_log]\nid = hl\nkind = tasktracker\nnodes = %s\nmode = rpc\naddrs = %s\nperiod = 1\n\n",
 			strings.Join(names, ","), strings.Join(addrs, ","))
 		fmt.Fprintf(&b, "[csv]\nid = log\npath = %s\n", csvPath)
 		for i, n := range names {
@@ -83,7 +83,7 @@ func TestSubscriptionResyncComposesWithReplayGuard(t *testing.T) {
 		t.Fatal("no replay watermark after 15 ticks")
 	}
 
-	// Second life: fresh engine, fresh subscriptions (the daemons re-serve
+	// Second life: fresh engine, fresh streams (the daemons re-serve
 	// their full logs), watermark restored before the first tick — exactly
 	// what internal/state's manager does on boot.
 	path2 := filepath.Join(dir, "life2.csv")

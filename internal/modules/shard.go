@@ -192,7 +192,7 @@ func (s *shardSweeper) statuses() []ShardStatus {
 // statusesWithBreakers augments the sweep accounting with each shard's
 // count of open per-node circuit breakers (rpc mode; clients parallel to
 // the module's node list, nil in local mode).
-func (s *shardSweeper) statusesWithBreakers(clients []rpc.Caller) []ShardStatus {
+func (s *shardSweeper) statusesWithBreakers(clients []Streamer) []ShardStatus {
 	sts := s.statuses()
 	if sts == nil || clients == nil {
 		return sts

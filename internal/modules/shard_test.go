@@ -192,77 +192,6 @@ func TestShardedMatchesSerialSinkOutput(t *testing.T) {
 	}
 }
 
-// runShardedRPCCase is runShardedCase over real loopback collection
-// daemons: every node gets its own sadc rpcd, and the instance under test
-// collects with the given shard count and batch setting.
-func runShardedRPCCase(t *testing.T, slaves int, seed int64, shards int, batch bool) []byte {
-	t.Helper()
-	c, err := hadoopsim.NewCluster(hadoopsim.DefaultConfig(slaves, seed))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var names, addrs []string
-	for _, n := range c.Slaves() {
-		srv := rpc.NewServer(ServiceSadc)
-		RegisterSadcServer(srv, n)
-		addr, err := srv.Listen("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { _ = srv.Close() })
-		names = append(names, n.Name)
-		addrs = append(addrs, addr.String())
-	}
-	env := NewEnv()
-	env.Clock = c.Now
-
-	csvPath := filepath.Join(t.TempDir(), "out.csv")
-	var b strings.Builder
-	fmt.Fprintf(&b, "[sadc]\nid = cluster\nnodes = %s\nmode = rpc\naddrs = %s\nperiod = 1\nshards = %d\nbatch = %v\n\n",
-		strings.Join(names, ","), strings.Join(addrs, ","), shards, batch)
-	fmt.Fprintf(&b, "[csv]\nid = log\npath = %s\n", csvPath)
-	for i, n := range names {
-		fmt.Fprintf(&b, "input[m%d] = cluster.%s\n", i, n)
-	}
-	e := mustEngine(t, env, b.String())
-	runSim(t, c, e, 30)
-	if err := e.Flush(c.Now()); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(csvPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data
-}
-
-// TestShardedRPCAndBatchMatchSerial covers the remote collection path: a
-// sharded sweep over real daemons, with and without rpc.Batch framing,
-// must log byte-identical CSV to the serial unbatched sweep. (The batched
-// metric-group methods are backed by their own daemon-side collectors, so
-// their rate math sees the same snapshot sequence.)
-func TestShardedRPCAndBatchMatchSerial(t *testing.T) {
-	const slaves, seed = 6, 707
-	serial := runShardedRPCCase(t, slaves, seed, 1, false)
-	if len(serial) == 0 {
-		t.Fatal("serial rpc run produced no CSV output")
-	}
-	for _, tc := range []struct {
-		name   string
-		shards int
-		batch  bool
-	}{
-		{"sharded", 4, false},
-		{"sharded-batch", 4, true},
-		{"serial-batch", 1, true},
-	} {
-		got := runShardedRPCCase(t, slaves, seed, tc.shards, tc.batch)
-		if !bytes.Equal(serial, got) {
-			t.Errorf("%s output differs from serial: %d bytes vs %d", tc.name, len(got), len(serial))
-		}
-	}
-}
-
 // TestShardAllNodesFailed kills every daemon of one shard: the other
 // shards keep collecting, degraded sync publishes partial timestamps at
 // quorum, and the per-shard status rows single out the dead shard (fetch

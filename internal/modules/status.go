@@ -108,9 +108,6 @@ type LeaderStatus struct {
 	// Range is the delegated node-index range ("0-64"), Nodes its size.
 	Range string `json:"range"`
 	Nodes int    `json:"nodes"`
-	// Wire is the live hop transport: "columnar", or "json" after the
-	// per-leader fallback (or when the instance never asked for columnar).
-	Wire string `json:"wire"`
 	// Health is the root→leader managed-connection snapshot; nil with an
 	// unsupervised custom dialer.
 	Health *rpc.Health `json:"health,omitempty"`
@@ -121,11 +118,6 @@ type LeaderStatus struct {
 	// Restarts counts leader connection re-establishments after the first
 	// connect — a leader process restart, seen from the root.
 	Restarts uint64 `json:"restarts"`
-	// Leader* are piggybacked from the leader's own accounting on the JSON
-	// hop (stale or zero while the hop runs columnar).
-	LeaderSweeps       uint64 `json:"leader_sweeps,omitempty"`
-	LeaderNodeErrors   uint64 `json:"leader_node_errors,omitempty"`
-	LeaderOpenBreakers int    `json:"leader_open_breakers,omitempty"`
 }
 
 // DropReporter is implemented by rate-matching modules that drop samples on

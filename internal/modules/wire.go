@@ -6,7 +6,6 @@ import (
 	"strconv"
 	"time"
 
-	"github.com/asdf-project/asdf/internal/config"
 	"github.com/asdf-project/asdf/internal/hadooplog"
 	"github.com/asdf-project/asdf/internal/procfs"
 	"github.com/asdf-project/asdf/internal/rpc"
@@ -14,9 +13,8 @@ import (
 )
 
 // Columnar stream methods served by the collection daemons. Each opens a
-// per-connection metric stream carrying the same data as the JSON methods,
-// delta-encoded so a steady-state tick costs a few bytes per column instead
-// of a re-serialized JSON document.
+// per-connection metric stream, delta-encoded so a steady-state tick costs a
+// few bytes per column; the control node pulls one frame per tick.
 const (
 	// MethodSadcMetrics streams one row per tick: the node-level group plus
 	// a group per requested interface and pid.
@@ -43,8 +41,8 @@ type logStreamRequest struct {
 
 // sadcStreamSource adapts a sadc collector to the columnar stream protocol.
 // Each open gets its own collector, so the rate baseline lives with the
-// stream exactly as the JSON methods keep theirs with the daemon: a
-// reconnecting client re-opens the stream and re-primes with one warmup row.
+// stream: a reconnecting client re-opens the stream and re-primes with one
+// warmup row, as a restarted daemon would.
 type sadcStreamSource struct {
 	collector *sadc.Collector
 	schema    rpc.StreamSchema
@@ -117,8 +115,8 @@ func (s *sadcStreamSource) Collect(fw *rpc.FrameWriter) error {
 // row per finalized per-second state vector, zero rows on a quiet tick (the
 // cheapest possible frame). Each open reads the buffer through its own
 // cursor and parser, so a reconnecting client replays from the start and
-// the module's re-served-history guard deduplicates, same as the JSON path
-// after a daemon restart.
+// the module's re-served-history guard deduplicates, same as after a daemon
+// restart.
 type logStreamSource struct {
 	schema rpc.StreamSchema
 	src    LogSource
@@ -138,9 +136,12 @@ func (s *logStreamSource) Collect(fw *rpc.FrameWriter) error {
 	return nil
 }
 
-// registerSadcStream exposes the columnar counterpart of the sadc JSON
-// methods on srv.
-func registerSadcStream(srv *rpc.Server, provider procfs.Provider) {
+// RegisterSadcServer exposes a sadc collector for one node over RPC as the
+// sadc.metrics stream. Collection state (the previous snapshot for rate
+// conversion) lives in the daemon, as with the paper's sadc_rpcd; each
+// stream open gets its own collector, so its rate baseline is isolated per
+// client connection.
+func RegisterSadcServer(srv *rpc.Server, provider procfs.Provider) {
 	srv.HandleStream(MethodSadcMetrics, func(params json.RawMessage) (rpc.StreamSource, error) {
 		var req sadcStreamRequest
 		if len(params) > 0 {
@@ -152,9 +153,10 @@ func registerSadcStream(srv *rpc.Server, provider procfs.Provider) {
 	})
 }
 
-// registerHadoopLogStream exposes the columnar counterpart of
-// hadoop_log.vectors on srv.
-func registerHadoopLogStream(srv *rpc.Server, tt, dn *hadooplog.Buffer, now func() time.Time) {
+// RegisterHadoopLogServer exposes the node's TaskTracker and DataNode log
+// parsers over RPC as the hadoop_log.stream stream. now supplies the flush
+// horizon (virtual time in simulation, wall clock in deployment).
+func RegisterHadoopLogServer(srv *rpc.Server, tt, dn *hadooplog.Buffer, now func() time.Time) {
 	srv.HandleStream(MethodHadoopLogStream, func(params json.RawMessage) (rpc.StreamSource, error) {
 		var req logStreamRequest
 		if err := json.Unmarshal(params, &req); err != nil {
@@ -182,123 +184,28 @@ func registerHadoopLogStream(srv *rpc.Server, tt, dn *hadooplog.Buffer, now func
 	})
 }
 
-// streamOpener is the client surface wire = columnar needs; rpc.ManagedClient
-// implements it. A custom Env.Dial hook returning a plain rpc.Caller keeps
-// the JSON path.
-type streamOpener interface {
-	Stream(method string, params any) (*rpc.StreamClient, error)
-	Subscribe(method string, params any, period time.Duration, window int) (*rpc.ManagedSubscription, error)
-}
-
-var _ streamOpener = (*rpc.ManagedClient)(nil)
-
-// wireParams are the negotiated-upgrade knobs shared by the rpc-mode
-// collection modules.
-type wireParams struct {
-	columnar   bool
-	subscribe  bool
-	pushPeriod time.Duration
-	pushWindow int
-}
-
-// parseWireParams reads the wire / subscribe / push_period / push_window
-// parameters for module (its config-error prefix). The env default applies
-// only in rpc mode — an explicit wire = columnar on a local-mode instance
-// is an error, but an environment-wide -wire columnar must not break local
-// instances it cannot apply to.
-func parseWireParams(cfg *config.Instance, env *Env, module, mode string) (wireParams, error) {
-	var wp wireParams
-	wire := cfg.StringParam("wire", "")
-	explicit := wire != ""
-	if !explicit {
-		wire = env.DefaultWire
-	}
-	switch wire {
-	case "", "json":
-	case "columnar":
-		if mode != "rpc" {
-			if explicit {
-				return wp, fmt.Errorf("%s: wire = columnar requires mode = rpc", module)
-			}
-		} else {
-			wp.columnar = true
-		}
-	default:
-		return wp, fmt.Errorf("%s: unknown wire %q (want json or columnar)", module, wire)
-	}
-	var err error
-	if wp.subscribe, err = cfg.BoolParam("subscribe", false); err != nil {
-		return wp, err
-	}
-	if wp.subscribe && !wp.columnar {
-		return wp, fmt.Errorf("%s: subscribe = true requires wire = columnar (and mode = rpc)", module)
-	}
-	if wp.pushPeriod, err = cfg.DurationParam("push_period", 0); err != nil {
-		return wp, err
-	}
-	if wp.pushWindow, err = cfg.IntParam("push_window", 1); err != nil {
-		return wp, err
-	}
-	if (wp.pushPeriod != 0 || wp.pushWindow != 1) && !wp.subscribe {
-		return wp, fmt.Errorf("%s: push_period / push_window require subscribe = true", module)
-	}
-	if wp.pushWindow < 1 {
-		return wp, fmt.Errorf("%s: push_window must be >= 1", module)
-	}
-	return wp, nil
-}
-
-// open starts the stream (pull or push mode per the parameters) and returns
-// the per-tick fetch function. Opening is lazy inside the managed client;
-// no network happens here.
-func (wp wireParams) open(client streamOpener, method string, params any) (func() ([]rpc.StreamRow, error), error) {
-	if wp.subscribe {
-		sub, err := client.Subscribe(method, params, wp.pushPeriod, wp.pushWindow)
-		if err != nil {
-			return nil, err
-		}
-		return sub.Fetch, nil
-	}
-	sc, err := client.Stream(method, params)
-	if err != nil {
-		return nil, err
-	}
-	return sc.Pull, nil
-}
-
-// columnarMetricSource reads sadc records from a columnar stream, falling
-// back permanently to the JSON source the instance would otherwise use when
-// the daemon predates the stream protocol. Decoded rows are copied into a
-// fresh Record, since the decoder reuses row storage across ticks.
+// columnarMetricSource reads sadc records from a node's sadc.metrics
+// stream. Decoded rows are copied into a fresh Record, since the decoder
+// reuses row storage across ticks.
 type columnarMetricSource struct {
-	next     func() ([]rpc.StreamRow, error)
-	fallback MetricSource
-	fellBack bool
-	ifaces   []string
-	pids     []int
+	stream rpc.Puller
+	ifaces []string
+	pids   []int
 }
 
-// NewColumnarMetricSource creates a MetricSource reading the sadc.metrics
-// columnar stream for node, with fallback as the JSON path taken when the
-// daemon does not speak the stream protocol.
-func NewColumnarMetricSource(client streamOpener, wp wireParams, node string, ifaces []string, pids []int, fallback MetricSource) (MetricSource, error) {
-	next, err := wp.open(client, MethodSadcMetrics, sadcStreamRequest{Node: node, Ifaces: ifaces, Pids: pids})
+// NewColumnarMetricSource creates a MetricSource pulling the sadc.metrics
+// stream for node from client.
+func NewColumnarMetricSource(client Streamer, node string, ifaces []string, pids []int) (MetricSource, error) {
+	stream, err := client.Stream(MethodSadcMetrics, sadcStreamRequest{Node: node, Ifaces: ifaces, Pids: pids})
 	if err != nil {
 		return nil, err
 	}
-	return &columnarMetricSource{next: next, fallback: fallback, ifaces: ifaces, pids: pids}, nil
+	return &columnarMetricSource{stream: stream, ifaces: ifaces, pids: pids}, nil
 }
 
 func (s *columnarMetricSource) Collect() (*sadc.Record, error) {
-	if s.fellBack {
-		return s.fallback.Collect()
-	}
-	rows, err := s.next()
+	rows, err := s.stream.Pull()
 	if err != nil {
-		if rpc.IsStreamUnsupported(err) {
-			s.fellBack = true
-			return s.fallback.Collect()
-		}
 		return nil, err
 	}
 	if len(rows) != 1 {
@@ -340,36 +247,26 @@ func (s *columnarMetricSource) Collect() (*sadc.Record, error) {
 	return rec, nil
 }
 
-// columnarLogSource reads state vectors from a columnar stream with the
-// same permanent JSON fallback as columnarMetricSource.
+// columnarLogSource reads state vectors from a node's hadoop_log.stream
+// stream.
 type columnarLogSource struct {
-	next     func() ([]rpc.StreamRow, error)
-	fallback LogSource
-	fellBack bool
-	dims     int
+	stream rpc.Puller
+	dims   int
 }
 
-// NewColumnarLogSource creates a LogSource reading the hadoop_log.stream
-// columnar stream for node, with fallback as the JSON path taken when the
-// daemon does not speak the stream protocol.
-func NewColumnarLogSource(client streamOpener, wp wireParams, node string, kind hadooplog.Kind, fallback LogSource) (LogSource, error) {
-	next, err := wp.open(client, MethodHadoopLogStream, logStreamRequest{Kind: kind.String(), Node: node})
+// NewColumnarLogSource creates a LogSource pulling the hadoop_log.stream
+// stream of the given kind for node from client.
+func NewColumnarLogSource(client Streamer, node string, kind hadooplog.Kind) (LogSource, error) {
+	stream, err := client.Stream(MethodHadoopLogStream, logStreamRequest{Kind: kind.String(), Node: node})
 	if err != nil {
 		return nil, err
 	}
-	return &columnarLogSource{next: next, fallback: fallback, dims: hadooplog.MetricDims(kind)}, nil
+	return &columnarLogSource{stream: stream, dims: hadooplog.MetricDims(kind)}, nil
 }
 
-func (s *columnarLogSource) Fetch(now time.Time) ([]hadooplog.StateVector, error) {
-	if s.fellBack {
-		return s.fallback.Fetch(now)
-	}
-	rows, err := s.next()
+func (s *columnarLogSource) Fetch(time.Time) ([]hadooplog.StateVector, error) {
+	rows, err := s.stream.Pull()
 	if err != nil {
-		if rpc.IsStreamUnsupported(err) {
-			s.fellBack = true
-			return s.fallback.Fetch(now)
-		}
 		return nil, err
 	}
 	if len(rows) == 0 {

@@ -8,194 +8,70 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/asdf-project/asdf/internal/config"
-	"github.com/asdf-project/asdf/internal/core"
 	"github.com/asdf-project/asdf/internal/hadoopsim"
 	"github.com/asdf-project/asdf/internal/rpc"
 )
 
-// wireCase selects the transport knobs for one equivalence run.
+// wireCase selects how the fleet is collected for one equivalence run:
+// in process (mode = local, the reference every rpc run must match byte for
+// byte) or pulled from one loopback daemon per node, optionally sharded.
 type wireCase struct {
-	wire      string // "" = leave the parameter out (json default)
-	subscribe bool
-	shards    int
-	batch     bool
-	// jsonOnly marks node indices whose daemon speaks only the JSON
-	// methods (a pre-columnar deployment); columnar clients must fall back
-	// transparently.
-	jsonOnly map[int]bool
+	local  bool
+	shards int
 }
 
 func (wc wireCase) params() string {
-	var b strings.Builder
-	if wc.wire != "" {
-		fmt.Fprintf(&b, "wire = %s\n", wc.wire)
-	}
-	if wc.subscribe {
-		b.WriteString("subscribe = true\n")
-	}
 	if wc.shards > 1 {
-		fmt.Fprintf(&b, "shards = %d\n", wc.shards)
+		return fmt.Sprintf("shards = %d\n", wc.shards)
 	}
-	if wc.batch {
-		b.WriteString("batch = true\n")
-	}
-	return b.String()
+	return ""
 }
 
-// runWireSadcCase runs the multi-node sadc collector over loopback daemons
-// with the given wire configuration and returns the CSV sink bytes.
-func runWireSadcCase(t *testing.T, slaves int, seed int64, wc wireCase) []byte {
+// collectionLines renders the mode line(s) of a multi-node collection
+// instance: nothing for local mode, or mode = rpc plus the daemon addresses
+// of one server per node, set up by serve.
+func (wc wireCase) collectionLines(t *testing.T, c *hadoopsim.Cluster, service string, serve func(*rpc.Server, *hadoopsim.Node)) string {
 	t.Helper()
-	c, err := hadoopsim.NewCluster(hadoopsim.DefaultConfig(slaves, seed))
-	if err != nil {
-		t.Fatal(err)
+	if wc.local {
+		return ""
 	}
-	var names, addrs []string
-	for i, n := range c.Slaves() {
-		srv := rpc.NewServer(ServiceSadc)
-		if wc.jsonOnly[i] {
-			// A pre-columnar daemon: the full JSON method surface, no
-			// stream protocol.
-			registerSadcJSON(srv, n)
-		} else {
-			RegisterSadcServer(srv, n)
-		}
+	var addrs []string
+	for _, n := range c.Slaves() {
+		srv := rpc.NewServer(service)
+		serve(srv, n)
 		addr, err := srv.Listen("127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { _ = srv.Close() })
-		names = append(names, n.Name)
 		addrs = append(addrs, addr.String())
 	}
+	return fmt.Sprintf("mode = rpc\naddrs = %s\n", strings.Join(addrs, ","))
+}
+
+// env is the control node's environment for a case: the simulated
+// cluster's providers for local mode, or just its clock for rpc mode.
+func (wc wireCase) env(c *hadoopsim.Cluster) *Env {
+	if wc.local {
+		return simEnv(c)
+	}
 	env := NewEnv()
 	env.Clock = c.Now
-
-	csvPath := filepath.Join(t.TempDir(), "out.csv")
-	var b strings.Builder
-	fmt.Fprintf(&b, "[sadc]\nid = cluster\nnodes = %s\nmode = rpc\naddrs = %s\nperiod = 1\n%s\n",
-		strings.Join(names, ","), strings.Join(addrs, ","), wc.params())
-	fmt.Fprintf(&b, "[csv]\nid = log\npath = %s\n", csvPath)
-	for i, n := range names {
-		fmt.Fprintf(&b, "input[m%d] = cluster.%s\n", i, n)
-	}
-	e := mustEngine(t, env, b.String())
-	runSim(t, c, e, 30)
-	if err := e.Flush(c.Now()); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(csvPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data
+	return env
 }
 
-// TestColumnarWireMatchesJSONSadc asserts the columnar stream transport —
-// pulled or pushed, sharded or not, composed with batch configs — logs CSV
-// byte-identical to the JSON request/response path.
-func TestColumnarWireMatchesJSONSadc(t *testing.T) {
-	const slaves, seed = 6, 1101
-	baseline := runWireSadcCase(t, slaves, seed, wireCase{wire: "json"})
-	if len(baseline) == 0 {
-		t.Fatal("json baseline produced no CSV output")
+func slaveNames(c *hadoopsim.Cluster) []string {
+	var names []string
+	for _, n := range c.Slaves() {
+		names = append(names, n.Name)
 	}
-	cases := []struct {
-		name string
-		wc   wireCase
-	}{
-		{"default-is-json", wireCase{}},
-		{"columnar", wireCase{wire: "columnar"}},
-		{"columnar-over-batch-config", wireCase{wire: "columnar", batch: true}},
-		{"columnar-sharded", wireCase{wire: "columnar", shards: 3}},
-		{"columnar-subscribe", wireCase{wire: "columnar", subscribe: true}},
-		{"columnar-subscribe-sharded", wireCase{wire: "columnar", subscribe: true, shards: 3}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			got := runWireSadcCase(t, slaves, seed, tc.wc)
-			if !bytes.Equal(baseline, got) {
-				t.Errorf("sink output differs from json baseline: %d bytes vs %d",
-					len(got), len(baseline))
-			}
-		})
-	}
+	return names
 }
 
-// TestColumnarWireFallsBackPerNode runs a mixed fleet — half the daemons
-// pre-columnar — under wire = columnar: the capable nodes stream, the rest
-// fall back to the JSON path per node, and the merged output is still
-// byte-identical to the all-JSON run. runSim fails the test on any engine
-// error, so the fallback is also shown to be transparent.
-func TestColumnarWireFallsBackPerNode(t *testing.T) {
-	const slaves, seed = 6, 1102
-	baseline := runWireSadcCase(t, slaves, seed, wireCase{wire: "json"})
-	if len(baseline) == 0 {
-		t.Fatal("json baseline produced no CSV output")
-	}
-	mixed := map[int]bool{1: true, 3: true, 5: true}
-	for _, tc := range []struct {
-		name string
-		wc   wireCase
-	}{
-		{"pull", wireCase{wire: "columnar", jsonOnly: mixed}},
-		{"pull-batch-fallback", wireCase{wire: "columnar", batch: true, jsonOnly: mixed}},
-		{"subscribe", wireCase{wire: "columnar", subscribe: true, jsonOnly: mixed}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			got := runWireSadcCase(t, slaves, seed, tc.wc)
-			if !bytes.Equal(baseline, got) {
-				t.Errorf("mixed-fleet output differs from json baseline: %d bytes vs %d",
-					len(got), len(baseline))
-			}
-		})
-	}
-}
-
-// runWireSingleNodeCase runs the single-node sadc form with iface and pid
-// extras over one loopback daemon — the richest stream schema, including a
-// permanently absent group (the simulated node has no "lo" interface).
-func runWireSingleNodeCase(t *testing.T, seed int64, wire string, subscribe bool) []byte {
+// runCSV runs cfgText for 30 ticks over c and returns the CSV sink bytes
+// written to csvPath.
+func runCSV(t *testing.T, c *hadoopsim.Cluster, env *Env, cfgText, csvPath string) []byte {
 	t.Helper()
-	c, err := hadoopsim.NewCluster(hadoopsim.DefaultConfig(2, seed))
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := c.Slaves()[0]
-	srv := rpc.NewServer(ServiceSadc)
-	RegisterSadcServer(srv, n)
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = srv.Close() })
-	env := NewEnv()
-	env.Clock = c.Now
-
-	extra := fmt.Sprintf("wire = %s\n", wire)
-	if subscribe {
-		extra += "subscribe = true\n"
-	}
-	csvPath := filepath.Join(t.TempDir(), "out.csv")
-	cfgText := fmt.Sprintf(`
-[sadc]
-id = s0
-node = %s
-mode = rpc
-addr = %s
-period = 1
-ifaces = eth0, lo
-pids = 3001,3002
-%s
-[csv]
-id = log
-path = %s
-input[m0] = s0.output0
-input[m1] = s0.net_eth0
-input[m2] = s0.proc_3001
-input[m3] = s0.proc_3002
-`, n.Name, addr.String(), extra, csvPath)
 	e := mustEngine(t, env, cfgText)
 	runSim(t, c, e, 30)
 	if err := e.Flush(c.Now()); err != nil {
@@ -208,163 +84,158 @@ input[m3] = s0.proc_3002
 	return data
 }
 
-// TestColumnarWireMatchesJSONSingleNode covers the iface/pid metric groups:
-// per-group presence (including an interface the node never has) must
-// round-trip to the same published vectors as the JSON full-record path.
-func TestColumnarWireMatchesJSONSingleNode(t *testing.T) {
-	baseline := runWireSingleNodeCase(t, 1103, "json", false)
-	if len(baseline) == 0 {
-		t.Fatal("json baseline produced no CSV output")
+// runWireSadcCase runs the multi-node sadc collector with the given
+// collection mode and returns the CSV sink bytes.
+func runWireSadcCase(t *testing.T, slaves int, seed int64, wc wireCase) []byte {
+	t.Helper()
+	c, err := hadoopsim.NewCluster(hadoopsim.DefaultConfig(slaves, seed))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, tc := range []struct {
-		name      string
-		subscribe bool
+	names := slaveNames(c)
+	mode := wc.collectionLines(t, c, ServiceSadc, func(srv *rpc.Server, n *hadoopsim.Node) { RegisterSadcServer(srv, n) })
+	csvPath := filepath.Join(t.TempDir(), "out.csv")
+	var b strings.Builder
+	fmt.Fprintf(&b, "[sadc]\nid = cluster\nnodes = %s\n%speriod = 1\n%s\n",
+		strings.Join(names, ","), mode, wc.params())
+	fmt.Fprintf(&b, "[csv]\nid = log\npath = %s\n", csvPath)
+	for i, n := range names {
+		fmt.Fprintf(&b, "input[m%d] = cluster.%s\n", i, n)
+	}
+	return runCSV(t, c, wc.env(c), b.String(), csvPath)
+}
+
+// TestColumnarWireMatchesJSONSadc asserts the columnar pull transport —
+// sharded or not — logs CSV byte-identical to local in-process collection.
+func TestColumnarWireMatchesJSONSadc(t *testing.T) {
+	const slaves, seed = 6, 1101
+	baseline := runWireSadcCase(t, slaves, seed, wireCase{local: true})
+	if len(baseline) == 0 {
+		t.Fatal("local baseline produced no CSV output")
+	}
+	cases := []struct {
+		name string
+		wc   wireCase
 	}{
-		{"pull", false},
-		{"subscribe", true},
-	} {
+		{"columnar", wireCase{}},
+		{"columnar-sharded", wireCase{shards: 3}},
+	}
+	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got := runWireSingleNodeCase(t, 1103, "columnar", tc.subscribe)
+			got := runWireSadcCase(t, slaves, seed, tc.wc)
 			if !bytes.Equal(baseline, got) {
-				t.Errorf("sink output differs from json baseline: %d bytes vs %d",
+				t.Errorf("sink output differs from local baseline: %d bytes vs %d",
 					len(got), len(baseline))
 			}
 		})
 	}
 }
 
-// runWireLogCase runs the synchronizing hadoop_log collector over loopback
-// daemons with the given wire configuration and returns the CSV sink bytes.
+// runWireSingleNodeCase runs the single-node sadc form with iface and pid
+// extras, locally or over one loopback daemon — the richest stream schema,
+// including a permanently absent group (the simulated node has no "lo"
+// interface).
+func runWireSingleNodeCase(t *testing.T, seed int64, wc wireCase) []byte {
+	t.Helper()
+	c, err := hadoopsim.NewCluster(hadoopsim.DefaultConfig(2, seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := c.Slaves()[0]
+	mode := ""
+	if !wc.local {
+		srv := rpc.NewServer(ServiceSadc)
+		RegisterSadcServer(srv, n)
+		addr, err := srv.Listen("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = srv.Close() })
+		mode = "mode = rpc\naddr = " + addr.String() + "\n"
+	}
+	csvPath := filepath.Join(t.TempDir(), "out.csv")
+	cfgText := fmt.Sprintf(`
+[sadc]
+id = s0
+node = %s
+%speriod = 1
+ifaces = eth0, lo
+pids = 3001,3002
+
+[csv]
+id = log
+path = %s
+input[m0] = s0.output0
+input[m1] = s0.net_eth0
+input[m2] = s0.proc_3001
+input[m3] = s0.proc_3002
+`, n.Name, mode, csvPath)
+	return runCSV(t, c, wc.env(c), cfgText, csvPath)
+}
+
+// TestColumnarWireMatchesJSONSingleNode covers the iface/pid metric groups:
+// per-group presence (including an interface the node never has) must
+// round-trip to the same published vectors as local collection.
+func TestColumnarWireMatchesJSONSingleNode(t *testing.T) {
+	baseline := runWireSingleNodeCase(t, 1103, wireCase{local: true})
+	if len(baseline) == 0 {
+		t.Fatal("local baseline produced no CSV output")
+	}
+	t.Run("pull", func(t *testing.T) {
+		got := runWireSingleNodeCase(t, 1103, wireCase{})
+		if !bytes.Equal(baseline, got) {
+			t.Errorf("sink output differs from local baseline: %d bytes vs %d",
+				len(got), len(baseline))
+		}
+	})
+}
+
+// runWireLogCase runs the synchronizing hadoop_log collector with the
+// given collection mode and returns the CSV sink bytes.
 func runWireLogCase(t *testing.T, slaves int, seed int64, wc wireCase) []byte {
 	t.Helper()
 	c, err := hadoopsim.NewCluster(hadoopsim.DefaultConfig(slaves, seed))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var names, addrs []string
-	for i, n := range c.Slaves() {
-		srv := rpc.NewServer(ServiceHadoopLog)
-		if wc.jsonOnly[i] {
-			// A pre-columnar log daemon: JSON vectors only.
-			registerHadoopLogJSON(srv, n.TaskTrackerLog(), n.DataNodeLog(), c.Now)
-		} else {
-			RegisterHadoopLogServer(srv, n.TaskTrackerLog(), n.DataNodeLog(), c.Now)
-		}
-		addr, err := srv.Listen("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { _ = srv.Close() })
-		names = append(names, n.Name)
-		addrs = append(addrs, addr.String())
-	}
-	env := NewEnv()
-	env.Clock = c.Now
-
+	names := slaveNames(c)
+	mode := wc.collectionLines(t, c, ServiceHadoopLog, func(srv *rpc.Server, n *hadoopsim.Node) {
+		RegisterHadoopLogServer(srv, n.TaskTrackerLog(), n.DataNodeLog(), c.Now)
+	})
 	csvPath := filepath.Join(t.TempDir(), "out.csv")
 	var b strings.Builder
-	fmt.Fprintf(&b, "[hadoop_log]\nid = hl\nkind = tasktracker\nnodes = %s\nmode = rpc\naddrs = %s\nperiod = 1\n%s\n",
-		strings.Join(names, ","), strings.Join(addrs, ","), wc.params())
+	fmt.Fprintf(&b, "[hadoop_log]\nid = hl\nkind = tasktracker\nnodes = %s\n%speriod = 1\n%s\n",
+		strings.Join(names, ","), mode, wc.params())
 	fmt.Fprintf(&b, "[csv]\nid = log\npath = %s\n", csvPath)
 	for i, n := range names {
 		fmt.Fprintf(&b, "input[m%d] = hl.%s\n", i, n)
 	}
-	e := mustEngine(t, env, b.String())
-	runSim(t, c, e, 30)
-	if err := e.Flush(c.Now()); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(csvPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data
+	return runCSV(t, c, wc.env(c), b.String(), csvPath)
 }
 
 // TestColumnarWireMatchesJSONHadoopLog covers the white-box path: the
 // columnar vector stream (variable rows per tick, zero on quiet ticks) must
-// feed the timestamp synchronizer to byte-identical output, including with
-// a mixed fleet falling back per node.
+// feed the timestamp synchronizer to output byte-identical to local
+// collection.
 func TestColumnarWireMatchesJSONHadoopLog(t *testing.T) {
 	const slaves, seed = 4, 1104
-	baseline := runWireLogCase(t, slaves, seed, wireCase{wire: "json"})
+	baseline := runWireLogCase(t, slaves, seed, wireCase{local: true})
 	if len(baseline) == 0 {
-		t.Fatal("json baseline produced no CSV output")
+		t.Fatal("local baseline produced no CSV output")
 	}
 	for _, tc := range []struct {
 		name string
 		wc   wireCase
 	}{
-		{"columnar", wireCase{wire: "columnar"}},
-		{"columnar-sharded", wireCase{wire: "columnar", shards: 2}},
-		{"columnar-subscribe", wireCase{wire: "columnar", subscribe: true}},
-		{"fallback-mixed-fleet", wireCase{wire: "columnar", jsonOnly: map[int]bool{0: true, 2: true}}},
+		{"columnar", wireCase{}},
+		{"columnar-sharded", wireCase{shards: 2}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			got := runWireLogCase(t, slaves, seed, tc.wc)
 			if !bytes.Equal(baseline, got) {
-				t.Errorf("sink output differs from json baseline: %d bytes vs %d",
+				t.Errorf("sink output differs from local baseline: %d bytes vs %d",
 					len(got), len(baseline))
 			}
 		})
 	}
-}
-
-// TestWireParamValidation pins the configuration contract for the new
-// knobs.
-func TestWireParamValidation(t *testing.T) {
-	c, err := hadoopsim.NewCluster(hadoopsim.DefaultConfig(1, 7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	env := simEnv(c)
-	node := c.Slaves()[0].Name
-	for _, tc := range []struct {
-		name, cfg, wantErr string
-	}{
-		{
-			"columnar-needs-rpc",
-			"[sadc]\nid = s\nnode = " + node + "\nwire = columnar\n",
-			"wire = columnar requires mode = rpc",
-		},
-		{
-			"unknown-wire",
-			"[sadc]\nid = s\nnode = " + node + "\nwire = protobuf\n",
-			"unknown wire",
-		},
-		{
-			"subscribe-needs-columnar",
-			"[sadc]\nid = s\nnode = " + node + "\nmode = rpc\naddr = 127.0.0.1:1\nsubscribe = true\n",
-			"subscribe = true requires wire = columnar",
-		},
-		{
-			"push-period-needs-subscribe",
-			"[sadc]\nid = s\nnode = " + node + "\nmode = rpc\naddr = 127.0.0.1:1\nwire = columnar\npush_period = 5\n",
-			"require subscribe = true",
-		},
-		{
-			"hadoop-log-subscribe-needs-columnar",
-			"[hadoop_log]\nid = h\nkind = tasktracker\nnodes = " + node + "\nmode = rpc\naddrs = 127.0.0.1:1\nsubscribe = true\n",
-			"subscribe = true requires wire = columnar",
-		},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			cfg, err := config.ParseString(tc.cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			_, err = core.NewEngine(NewRegistry(env), cfg)
-			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
-				t.Errorf("error = %v, want substring %q", err, tc.wantErr)
-			}
-		})
-	}
-
-	// The environment default applies only where it can: a local-mode
-	// instance under -wire columnar still initializes (and collects
-	// locally), rather than failing on a knob that does not apply to it.
-	env.DefaultWire = "columnar"
-	defer func() { env.DefaultWire = "" }()
-	e := mustEngine(t, env, "[sadc]\nid = s\nnode = "+node+"\nperiod = 1\n")
-	runSim(t, c, e, 3)
 }

@@ -3,11 +3,13 @@
 // collection daemons (sadc_rpcd, hadoop_log_rpcd) and the control node polls
 // them once per iteration.
 //
-// The wire protocol is length-prefixed JSON over TCP: a 4-byte big-endian
-// frame length followed by a JSON body. A connection begins with a hello
+// The wire protocol is length-prefixed frames over TCP: a 4-byte big-endian
+// frame length followed by the body. A connection begins with a JSON hello
 // exchange (protocol version and service name), after which the client
-// issues synchronous request/response calls. Both ends count exact wire
-// bytes, which is how the Table 4 bandwidth experiment is measured.
+// issues synchronous request/response calls. Control calls are JSON; metric
+// data moves as pulled columnar stream frames (stream.go), tagged by the
+// length header's high bit. Both ends count exact wire bytes, which is how
+// the Table 4 bandwidth experiment is measured.
 package rpc
 
 import (
@@ -96,18 +98,7 @@ func writeFrame(w io.Writer, v any) error {
 	if err != nil {
 		return fmt.Errorf("rpc: marshal: %w", err)
 	}
-	if len(body) > maxFrameBytes {
-		return fmt.Errorf("rpc: frame of %d bytes exceeds limit", len(body))
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("rpc: write header: %w", err)
-	}
-	if _, err := w.Write(body); err != nil {
-		return fmt.Errorf("rpc: write body: %w", err)
-	}
-	return nil
+	return writeRawFrame(w, body)
 }
 
 // readFrame reads one length-prefixed JSON frame into v.
@@ -180,7 +171,7 @@ func (s *Server) Handle(method string, h HandlerFunc) {
 	if method == "" || h == nil {
 		panic("rpc: Handle requires a method name and handler")
 	}
-	if method == MethodBatch || isStreamMethod(method) {
+	if isStreamMethod(method) {
 		panic("rpc: " + method + " is reserved; the server dispatches it natively")
 	}
 	s.mu.Lock()
@@ -260,9 +251,8 @@ func (s *Server) currentFaults() Faults {
 
 func (s *Server) serveConn(raw net.Conn) {
 	cc := &countingConn{Conn: raw}
-	cs := &connState{srv: s, cc: cc, done: make(chan struct{})}
+	cs := &connState{srv: s, cc: cc}
 	defer func() {
-		close(cs.done) // retire this connection's push goroutines
 		s.bytesRead.Add(cc.read.Load())
 		s.bytesWritten.Add(cc.written.Load())
 		_ = raw.Close()
@@ -280,7 +270,7 @@ func (s *Server) serveConn(raw net.Conn) {
 		return
 	}
 	if hello.Proto != ProtocolVersion {
-		_ = cs.write(response{Error: fmt.Sprintf("unsupported protocol %d", hello.Proto)})
+		_ = writeFrame(cc, response{Error: fmt.Sprintf("unsupported protocol %d", hello.Proto)})
 		return
 	}
 	s.mu.Lock()
@@ -292,7 +282,7 @@ func (s *Server) serveConn(raw net.Conn) {
 		methods = append(methods, MethodStreamOpen)
 	}
 	s.mu.Unlock()
-	if err := cs.write(helloResponse{Proto: ProtocolVersion, Service: s.service, Methods: methods}); err != nil {
+	if err := writeFrame(cc, helloResponse{Proto: ProtocolVersion, Service: s.service, Methods: methods}); err != nil {
 		return
 	}
 
@@ -301,46 +291,30 @@ func (s *Server) serveConn(raw net.Conn) {
 		if err := readFrame(cc, &req); err != nil {
 			return
 		}
-		switch req.Method {
-		case MethodStreamPull:
+		if req.Method == MethodStreamPull {
 			// Collects, applies the delay fault, and writes the binary (or
 			// JSON error) frame itself.
 			if err := cs.pullStream(&req); err != nil {
 				return
 			}
-		case MethodStreamCredit:
-			// Fire-and-forget: credits wake the stream's pusher, which owns
-			// the response frames.
-			cs.creditStream(&req)
-		case MethodBatch:
-			// Encodes the reply through pooled scratch rather than the
-			// generic marshal path.
-			if err := cs.serveBatch(&req); err != nil {
-				return
-			}
-		default:
-			var resp response
-			if req.Method == MethodStreamOpen {
-				resp = cs.openStream(&req)
-			} else {
-				resp = s.dispatch(&req)
-			}
-			if d := s.currentFaults().Delay; d > 0 {
-				time.Sleep(d) // injected fault: slow node
-			}
-			if err := cs.write(resp); err != nil {
-				return
-			}
+			continue
+		}
+		var resp response
+		if req.Method == MethodStreamOpen {
+			resp = cs.openStream(&req)
+		} else {
+			resp = s.dispatch(&req)
+		}
+		if d := s.currentFaults().Delay; d > 0 {
+			time.Sleep(d) // injected fault: slow node
+		}
+		if err := writeFrame(cc, resp); err != nil {
+			return
 		}
 	}
 }
 
 func (s *Server) dispatch(req *request) response {
-	if req.Method == MethodBatch || isStreamMethod(req.Method) {
-		// The serve loop routes these natively; reaching dispatch means a
-		// nested batch item tried to smuggle one in.
-		return response{ID: req.ID, Error: fmt.Sprintf("method %q not allowed here", req.Method)}
-	}
 	s.mu.Lock()
 	h, ok := s.handlers[req.Method]
 	s.mu.Unlock()
@@ -390,6 +364,7 @@ type Client struct {
 	closed  bool
 	nextID  uint64
 	timeout time.Duration
+	reqBuf  []byte // pull-request encode buffer, reused under mu
 
 	// Service and Methods are populated from the hello exchange.
 	Service string

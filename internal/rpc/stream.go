@@ -7,65 +7,60 @@ import (
 	"fmt"
 	"io"
 	"strconv"
-	"strings"
-	"sync"
 	"time"
 )
 
-// Metric streams: a negotiated upgrade from per-call JSON framing to the
-// columnar delta codec. The client opens a stream with an ordinary JSON
-// call (rpc.stream.open names the underlying method); the server pins a
-// StreamSource and a ColumnarEncoder to the connection and replies with a
-// stream id. From then on the client either pulls frames one at a time
-// (rpc.stream.pull — request/response, same serialization discipline as any
-// call) or, for a push-mode stream, grants credits (rpc.stream.credit, no
-// response) and the server streams frames on its own cadence, one frame per
-// credit. Binary frames are distinguished from JSON frames by the high bit
-// of the 4-byte length header, so both kinds share one connection; a
-// pre-columnar peer reading a binary frame sees an oversized length and
-// fails cleanly rather than misparsing.
+// Metric streams: the columnar delta codec carried over the RPC connection.
+// The client opens a stream with an ordinary JSON call (rpc.stream.open
+// names the underlying method); the server pins a StreamSource and a
+// ColumnarEncoder to the connection and replies with a stream id. From then
+// on the client pulls frames one at a time (rpc.stream.pull —
+// request/response, same serialization discipline as any call). Binary
+// frames are distinguished from JSON frames by the high bit of the 4-byte
+// length header, so both kinds share one connection.
 //
 // Stream state lives on the connection on both sides. A reconnect therefore
-// drops every stream with it, and the managed wrappers (StreamClient,
-// ManagedSubscription) transparently reopen on the next use — the fresh
-// server-side encoder re-sends the schema frame first, which resets the
-// client decoder's delta state. This is also why a credit request needs no
-// response: losing one loses the whole connection with it.
+// drops every stream with it, and StreamClient transparently reopens on the
+// next pull — the fresh server-side encoder re-sends the schema frame
+// first, which resets the client decoder's delta state.
 
-// Reserved stream method names. Like MethodBatch they are dispatched
-// natively by the server; handlers cannot register them.
+// Reserved stream method names. The server dispatches them natively;
+// handlers cannot register them.
 const (
-	// MethodStreamOpen opens a stream: params {method, params, push,
-	// period_ms}, result {stream}.
+	// MethodStreamOpen opens a stream: params {method, params}, result
+	// {stream}.
 	MethodStreamOpen = "rpc.stream.open"
-	// MethodStreamPull requests one frame from a pull-mode stream: params
-	// {s}; the response is a binary columnar frame, or a JSON error frame.
+	// MethodStreamPull requests one frame from a stream: params {s}; the
+	// response is a binary columnar frame, or a JSON error frame.
 	MethodStreamPull = "rpc.stream.pull"
-	// MethodStreamCredit grants n frame credits to a push-mode stream:
-	// params {s, n}. It has no response.
-	MethodStreamCredit = "rpc.stream.credit"
 )
 
 func isStreamMethod(m string) bool {
-	return m == MethodStreamOpen || m == MethodStreamPull || m == MethodStreamCredit
+	return m == MethodStreamOpen || m == MethodStreamPull
 }
 
 // binaryFrameFlag tags a frame's length header as a binary (columnar) body.
 // The masked length obeys the same maxFrameBytes bound as JSON frames.
 const binaryFrameFlag = uint32(1) << 31
 
-// streamCreditCap bounds buffered credits per push stream; far beyond any
-// sane window, it only guards against a runaway client.
-const streamCreditCap = 1024
+// writeRawFrame writes one length-prefixed frame whose body is already
+// serialized, the raw counterpart of writeFrame.
+func writeRawFrame(w io.Writer, body []byte) error {
+	return writeHeaderAndBody(w, uint32(len(body)), body)
+}
 
 // writeBinaryFrame writes one length-prefixed binary frame, tagging the
 // header's high bit so the receiver routes it to the columnar decoder.
 func writeBinaryFrame(w io.Writer, body []byte) error {
+	return writeHeaderAndBody(w, uint32(len(body))|binaryFrameFlag, body)
+}
+
+func writeHeaderAndBody(w io.Writer, hdrWord uint32, body []byte) error {
 	if len(body) > maxFrameBytes {
 		return fmt.Errorf("rpc: frame of %d bytes exceeds limit", len(body))
 	}
 	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(body))|binaryFrameFlag)
+	binary.BigEndian.PutUint32(hdr[:], hdrWord)
 	if _, err := w.Write(hdr[:]); err != nil {
 		return fmt.Errorf("rpc: write header: %w", err)
 	}
@@ -116,8 +111,7 @@ func (fw *FrameWriter) AppendRow(timeNanos int64, warmup bool, present []bool, v
 }
 
 // StreamSource produces the rows of one open stream. Collect is called once
-// per frame — per pull, or per granted credit in push mode — and must not
-// retain the FrameWriter.
+// per pull and must not retain the FrameWriter.
 type StreamSource interface {
 	Schema() StreamSchema
 	Collect(fw *FrameWriter) error
@@ -135,7 +129,7 @@ func (s *Server) HandleStream(method string, h StreamHandlerFunc) {
 	if method == "" || h == nil {
 		panic("rpc: HandleStream requires a method name and handler")
 	}
-	if method == MethodBatch || isStreamMethod(method) {
+	if isStreamMethod(method) {
 		panic("rpc: " + method + " is reserved; the server dispatches it natively")
 	}
 	s.mu.Lock()
@@ -151,69 +145,30 @@ func (s *Server) HandleStream(method string, h StreamHandlerFunc) {
 type streamOpenRequest struct {
 	Method string          `json:"method"`
 	Params json.RawMessage `json:"params,omitempty"`
-	Push   bool            `json:"push,omitempty"`
-	// PeriodMS paces a push stream: minimum milliseconds between frames.
-	// Zero pushes as fast as credits arrive (lockstep with the client).
-	PeriodMS int64 `json:"period_ms,omitempty"`
 }
 
 type streamOpenResponse struct {
 	Stream uint64 `json:"stream"`
 }
 
-type streamIDRequest struct {
+type streamPullRequest struct {
 	S uint64 `json:"s"`
-	N int    `json:"n,omitempty"`
 }
 
 // serverStream is one open stream pinned to a connection.
 type serverStream struct {
-	id      uint64
-	src     StreamSource
-	enc     *ColumnarEncoder
-	push    bool
-	period  time.Duration
-	credits chan struct{}
+	src StreamSource
+	enc *ColumnarEncoder
 }
 
-// connState is the per-connection serving state: the write mutex that
-// serializes response frames with push frames, and the streams opened on
-// this connection. It dies with the connection.
+// connState is the per-connection serving state: the streams opened on
+// this connection. It dies with the connection, and only the connection's
+// serve loop touches it.
 type connState struct {
-	srv *Server
-	cc  *countingConn
-
-	writeMu sync.Mutex
-
-	mu         sync.Mutex
+	srv        *Server
+	cc         *countingConn
 	streams    map[uint64]*serverStream
 	nextStream uint64
-
-	done chan struct{}
-}
-
-func (cs *connState) write(v any) error {
-	cs.writeMu.Lock()
-	defer cs.writeMu.Unlock()
-	return writeFrame(cs.cc, v)
-}
-
-func (cs *connState) writeRaw(body []byte) error {
-	cs.writeMu.Lock()
-	defer cs.writeMu.Unlock()
-	return writeRawFrame(cs.cc, body)
-}
-
-func (cs *connState) writeBinary(body []byte) error {
-	cs.writeMu.Lock()
-	defer cs.writeMu.Unlock()
-	return writeBinaryFrame(cs.cc, body)
-}
-
-func (cs *connState) lookup(id uint64) *serverStream {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	return cs.streams[id]
 }
 
 // openStream serves one MethodStreamOpen request.
@@ -228,39 +183,20 @@ func (cs *connState) openStream(req *request) response {
 	if !ok {
 		return response{ID: req.ID, Error: fmt.Sprintf("rpc.stream: unsupported method %q", or.Method)}
 	}
+	if len(cs.streams) >= maxStreamsPerConn {
+		return response{ID: req.ID, Error: fmt.Sprintf("rpc.stream: more than %d streams on one connection", maxStreamsPerConn)}
+	}
 	src, err := h(or.Params)
 	if err != nil {
 		return response{ID: req.ID, Error: err.Error()}
 	}
-
-	st := &serverStream{
-		src:    src,
-		enc:    NewColumnarEncoder(src.Schema()),
-		push:   or.Push,
-		period: time.Duration(or.PeriodMS) * time.Millisecond,
-	}
-	if st.push {
-		st.credits = make(chan struct{}, streamCreditCap)
-	}
-
-	cs.mu.Lock()
 	if cs.streams == nil {
 		cs.streams = make(map[uint64]*serverStream)
 	}
-	if len(cs.streams) >= maxStreamsPerConn {
-		cs.mu.Unlock()
-		return response{ID: req.ID, Error: fmt.Sprintf("rpc.stream: more than %d streams on one connection", maxStreamsPerConn)}
-	}
 	cs.nextStream++
-	st.id = cs.nextStream
-	cs.streams[st.id] = st
-	cs.mu.Unlock()
+	cs.streams[cs.nextStream] = &serverStream{src: src, enc: NewColumnarEncoder(src.Schema())}
 
-	if st.push {
-		go cs.pusher(st)
-	}
-
-	raw, err := json.Marshal(streamOpenResponse{Stream: st.id})
+	raw, err := json.Marshal(streamOpenResponse{Stream: cs.nextStream})
 	if err != nil {
 		return response{ID: req.ID, Error: fmt.Sprintf("marshal result: %v", err)}
 	}
@@ -271,15 +207,13 @@ func (cs *connState) openStream(req *request) response {
 // source and write it as a binary frame, or a JSON error frame. The
 // returned error is a connection write failure.
 func (cs *connState) pullStream(req *request) error {
-	var pr streamIDRequest
+	var pr streamPullRequest
 	var st *serverStream
 	var errMsg string
 	if err := json.Unmarshal(req.Params, &pr); err != nil {
 		errMsg = fmt.Sprintf("malformed stream pull: %v", err)
-	} else if st = cs.lookup(pr.S); st == nil {
+	} else if st = cs.streams[pr.S]; st == nil {
 		errMsg = fmt.Sprintf("rpc.stream: unknown stream %d", pr.S)
-	} else if st.push {
-		errMsg = fmt.Sprintf("rpc.stream: stream %d is push-mode", pr.S)
 	}
 
 	var body []byte
@@ -301,108 +235,33 @@ func (cs *connState) pullStream(req *request) error {
 		time.Sleep(d) // injected fault: slow node
 	}
 	if errMsg != "" {
-		return cs.write(response{ID: req.ID, Error: errMsg})
+		return writeFrame(cs.cc, response{ID: req.ID, Error: errMsg})
 	}
-	return cs.writeBinary(body)
+	return writeBinaryFrame(cs.cc, body)
 }
 
-// creditStream serves one MethodStreamCredit request. Credits to unknown or
-// pull-mode streams are dropped — the stream may have raced with a
-// reconnect, and there is no response channel to report on.
-func (cs *connState) creditStream(req *request) {
-	var cr streamIDRequest
-	if err := json.Unmarshal(req.Params, &cr); err != nil {
-		return
-	}
-	st := cs.lookup(cr.S)
-	if st == nil || !st.push {
-		return
-	}
-	for i := 0; i < cr.N; i++ {
-		select {
-		case st.credits <- struct{}{}:
-		default:
-			return // credit buffer full; the client is not reading anyway
-		}
-	}
-}
-
-// pusher is the per-stream push goroutine: one collected frame per granted
-// credit, paced to the stream's period. It exits when the connection dies
-// (done closed, or a write fails).
-func (cs *connState) pusher(st *serverStream) {
-	var last time.Time
-	for {
-		select {
-		case <-cs.done:
-			return
-		case <-st.credits:
-		}
-		if st.period > 0 && !last.IsZero() {
-			if wait := st.period - time.Since(last); wait > 0 {
-				t := time.NewTimer(wait)
-				select {
-				case <-cs.done:
-					t.Stop()
-					return
-				case <-t.C:
-				}
-			}
-		}
-		st.enc.Begin()
-		fw := FrameWriter{enc: st.enc}
-		err := st.src.Collect(&fw)
-		if err == nil {
-			err = fw.err
-		}
-		if d := cs.srv.currentFaults().Delay; d > 0 {
-			time.Sleep(d) // injected fault: slow node
-		}
-		var werr error
-		if err != nil {
-			// Error frames ride as JSON with id 0; the subscriber surfaces
-			// them as a RemoteError from its next Fetch.
-			werr = cs.write(response{Error: fmt.Sprintf("rpc.stream %d: %v", st.id, err)})
-		} else {
-			werr = cs.writeBinary(st.enc.Finish())
-		}
-		if werr != nil {
-			return
-		}
-		last = time.Now()
-	}
-}
-
-// appendStreamRequest appends the request body for a pull or credit call —
-// hand-rolled like appendBatchRequest so a pooled dst keeps the per-tick
-// encode allocation-free.
-func appendStreamRequest(dst []byte, id uint64, method string, stream uint64, n int) []byte {
+// appendPullRequest appends the request body for a pull call — hand-rolled
+// so a reused dst keeps the per-tick encode allocation-free.
+func appendPullRequest(dst []byte, id, stream uint64) []byte {
 	dst = append(dst, `{"id":`...)
 	dst = strconv.AppendUint(dst, id, 10)
-	dst = append(dst, `,"method":"`...)
-	dst = append(dst, method...)
-	dst = append(dst, `","params":{"s":`...)
+	dst = append(dst, `,"method":"`+MethodStreamPull+`","params":{"s":`...)
 	dst = strconv.AppendUint(dst, stream, 10)
-	if n > 0 {
-		dst = append(dst, `,"n":`...)
-		dst = strconv.AppendInt(dst, int64(n), 10)
-	}
 	return append(dst, `}}`...)
 }
 
 // openStream performs the JSON open call and returns the stream id.
-func (c *Client) openStream(method string, params json.RawMessage, push bool, period time.Duration) (uint64, error) {
+func (c *Client) openStream(method string, params json.RawMessage) (uint64, error) {
 	var resp streamOpenResponse
-	req := streamOpenRequest{Method: method, Params: params, Push: push, PeriodMS: period.Milliseconds()}
-	if err := c.Call(MethodStreamOpen, req, &resp); err != nil {
+	if err := c.Call(MethodStreamOpen, streamOpenRequest{Method: method, Params: params}, &resp); err != nil {
 		return 0, err
 	}
 	return resp.Stream, nil
 }
 
-// pullStream requests one frame from a pull-mode stream and decodes it into
-// dec. The encode path uses pooled scratch and the frame is read into the
-// decoder's reused buffer, so the steady state allocates nothing.
+// pullStream requests one frame from a stream and decodes it into dec. The
+// request is encoded into the client's reused buffer and the frame is read
+// into the decoder's, so the steady state allocates nothing.
 func (c *Client) pullStream(id uint64, dec *ColumnarDecoder) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -416,83 +275,40 @@ func (c *Client) pullStream(id uint64, dec *ColumnarDecoder) error {
 	_ = c.conn.SetDeadline(deadline)
 	defer func() { _ = c.conn.SetDeadline(time.Time{}) }()
 
-	bufp := batchScratch.Get().(*[]byte)
-	body := appendStreamRequest((*bufp)[:0], reqID, MethodStreamPull, id, 0)
-	werr := writeRawFrame(c.conn, body)
-	*bufp = body[:0]
-	batchScratch.Put(bufp)
-	if werr != nil {
-		return werr
-	}
-	return c.readStreamFrame(dec, MethodStreamPull, reqID)
-}
-
-// fetchStream grants credits (if any) to a push-mode stream and reads the
-// next frame. extra widens the read deadline beyond the call timeout to
-// cover the server's push pacing.
-func (c *Client) fetchStream(id uint64, dec *ColumnarDecoder, credits int, extra time.Duration) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return ErrClosed
+	c.reqBuf = appendPullRequest(c.reqBuf[:0], reqID, id)
+	if err := writeRawFrame(c.conn, c.reqBuf); err != nil {
+		return err
 	}
 
-	deadline := time.Now().Add(c.timeout + extra)
-	_ = c.conn.SetDeadline(deadline)
-	defer func() { _ = c.conn.SetDeadline(time.Time{}) }()
-
-	if credits > 0 {
-		c.nextID++
-		bufp := batchScratch.Get().(*[]byte)
-		body := appendStreamRequest((*bufp)[:0], c.nextID, MethodStreamCredit, id, credits)
-		werr := writeRawFrame(c.conn, body)
-		*bufp = body[:0]
-		batchScratch.Put(bufp)
-		if werr != nil {
-			return werr
-		}
-	}
-	return c.readStreamFrame(dec, "rpc.stream", 0)
-}
-
-// readStreamFrame reads one frame: binary frames decode into dec, JSON
-// frames must be error responses (a pull's error reply, or a push stream's
-// in-band error frame with id 0).
-func (c *Client) readStreamFrame(dec *ColumnarDecoder, method string, wantID uint64) error {
 	body, isBin, err := readTaggedFrame(c.conn, &dec.buf)
 	if err != nil {
 		if errors.Is(err, io.EOF) {
 			return ErrClosed
 		}
-		return fmt.Errorf("rpc: call %s: %w", method, err)
+		return fmt.Errorf("rpc: call %s: %w", MethodStreamPull, err)
 	}
 	if isBin {
 		return dec.Decode(body)
 	}
+	// A JSON frame on a pull is the error reply.
 	var resp response
 	if err := json.Unmarshal(body, &resp); err != nil {
-		return fmt.Errorf("rpc: call %s: unmarshal: %w", method, err)
+		return fmt.Errorf("rpc: call %s: unmarshal: %w", MethodStreamPull, err)
 	}
-	if wantID != 0 && resp.ID != 0 && resp.ID != wantID {
-		return fmt.Errorf("rpc: call %s: response id %d, want %d", method, resp.ID, wantID)
+	if resp.ID != reqID {
+		return fmt.Errorf("rpc: call %s: response id %d, want %d", MethodStreamPull, resp.ID, reqID)
 	}
 	if resp.Error != "" {
-		return &RemoteError{Method: method, Message: resp.Error}
+		return &RemoteError{Method: MethodStreamPull, Message: resp.Error}
 	}
-	return fmt.Errorf("rpc: call %s: unexpected JSON frame on stream", method)
+	return fmt.Errorf("rpc: call %s: unexpected JSON frame on stream", MethodStreamPull)
 }
 
-// IsStreamUnsupported reports whether err means the remote end does not
-// support the requested stream — either a columnar-aware server without
-// that stream method, or a pre-columnar server rejecting rpc.stream.open as
-// an unknown method. Callers use it to fall back to the JSON path.
-func IsStreamUnsupported(err error) bool {
-	var re *RemoteError
-	if !errors.As(err, &re) {
-		return false
-	}
-	return strings.Contains(re.Message, "rpc.stream: unsupported method") ||
-		strings.Contains(re.Message, "unknown method")
+// Puller is a pull-mode stream: each Pull fetches and decodes one frame.
+// The returned rows are valid until the next Pull. *StreamClient is the
+// network implementation; benchmarks substitute in-process ones.
+type Puller interface {
+	Pull() ([]StreamRow, error)
 }
 
 // StreamClient is a pull-mode stream on a ManagedClient. It transparently
@@ -508,12 +324,16 @@ type StreamClient struct {
 	id     uint64
 }
 
-// Stream opens a pull-mode columnar stream for method. params is marshaled
-// once; the stream (re)opens lazily on first Pull and after reconnects.
-func (m *ManagedClient) Stream(method string, params any) (*StreamClient, error) {
-	raw, err := marshalStreamParams(params)
-	if err != nil {
-		return nil, err
+// Stream returns a *StreamClient for method. params is marshaled once; the
+// stream (re)opens lazily on first Pull and after reconnects.
+func (m *ManagedClient) Stream(method string, params any) (Puller, error) {
+	var raw json.RawMessage
+	if params != nil {
+		b, err := json.Marshal(params)
+		if err != nil {
+			return nil, fmt.Errorf("rpc: marshal stream params: %w", err)
+		}
+		raw = b
 	}
 	return &StreamClient{m: m, method: method, params: raw, dec: NewColumnarDecoder()}, nil
 }
@@ -525,7 +345,7 @@ func (sc *StreamClient) Pull() ([]StreamRow, error) {
 	defer sc.m.mu.Unlock()
 	err := sc.m.do(func(c *Client) error {
 		if sc.cur != c {
-			id, err := c.openStream(sc.method, sc.params, false, 0)
+			id, err := c.openStream(sc.method, sc.params)
 			if err != nil {
 				return err
 			}
@@ -543,87 +363,3 @@ func (sc *StreamClient) Pull() ([]StreamRow, error) {
 
 // Schema returns the stream's schema once the first frame has arrived.
 func (sc *StreamClient) Schema() (StreamSchema, bool) { return sc.dec.Schema() }
-
-// ManagedSubscription is a push-mode stream on a ManagedClient. The server
-// collects and sends frames on its own cadence, bounded by a credit window;
-// Fetch tops the window up and blocks for the next frame. Like StreamClient
-// it resubscribes transparently after a reconnect.
-type ManagedSubscription struct {
-	m      *ManagedClient
-	method string
-	params json.RawMessage
-	period time.Duration
-	window int
-
-	dec         *ColumnarDecoder
-	cur         *Client
-	id          uint64
-	outstanding int // credits granted, frames not yet received
-}
-
-// Subscribe opens a push-mode columnar stream. period paces the server's
-// pushes (zero means lockstep with credit arrival); window is the maximum
-// number of frames in flight (minimum 1 — the server never runs more than
-// window collects ahead of the client).
-func (m *ManagedClient) Subscribe(method string, params any, period time.Duration, window int) (*ManagedSubscription, error) {
-	raw, err := marshalStreamParams(params)
-	if err != nil {
-		return nil, err
-	}
-	if window < 1 {
-		window = 1
-	}
-	if window > streamCreditCap {
-		window = streamCreditCap
-	}
-	return &ManagedSubscription{
-		m: m, method: method, params: raw, period: period, window: window,
-		dec: NewColumnarDecoder(),
-	}, nil
-}
-
-// Fetch grants the server enough credit to fill the window and blocks for
-// the next pushed frame. The returned rows are valid until the next Fetch.
-func (sub *ManagedSubscription) Fetch() ([]StreamRow, error) {
-	sub.m.mu.Lock()
-	defer sub.m.mu.Unlock()
-	err := sub.m.do(func(c *Client) error {
-		if sub.cur != c {
-			id, err := c.openStream(sub.method, sub.params, true, sub.period)
-			if err != nil {
-				return err
-			}
-			sub.dec.Reset()
-			sub.id = id
-			sub.cur = c
-			sub.outstanding = 0
-		}
-		grant := sub.window - sub.outstanding
-		if grant < 0 {
-			grant = 0
-		}
-		if err := c.fetchStream(sub.id, sub.dec, grant, sub.period); err != nil {
-			return err
-		}
-		sub.outstanding += grant - 1 // one frame was just consumed
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return sub.dec.Rows(), nil
-}
-
-// Schema returns the stream's schema once the first frame has arrived.
-func (sub *ManagedSubscription) Schema() (StreamSchema, bool) { return sub.dec.Schema() }
-
-func marshalStreamParams(params any) (json.RawMessage, error) {
-	if params == nil {
-		return nil, nil
-	}
-	raw, err := json.Marshal(params)
-	if err != nil {
-		return nil, fmt.Errorf("rpc: marshal stream params: %w", err)
-	}
-	return raw, nil
-}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -87,7 +88,7 @@ func TestStreamPull(t *testing.T) {
 			t.Fatalf("pull %d: time %d", want, rows[0].TimeNanos)
 		}
 	}
-	schema, ok := sc.Schema()
+	schema, ok := sc.(*StreamClient).Schema()
 	if !ok || schema.Method != "test.stream" || schema.Groups[0].Columns[0] != "tick" {
 		t.Fatalf("schema: %+v ok=%v", schema, ok)
 	}
@@ -101,7 +102,7 @@ func TestStreamSteadyStateBytesShrink(t *testing.T) {
 	}
 	defer c.Close()
 
-	id, err := c.openStream("test.stream", nil, false, 0)
+	id, err := c.openStream("test.stream", nil)
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -134,14 +135,19 @@ func TestStreamPullUnsupportedMethod(t *testing.T) {
 		t.Fatalf("Stream: %v", err)
 	}
 	_, err = sc.Pull()
-	if err == nil || !IsStreamUnsupported(err) {
-		t.Fatalf("want stream-unsupported error, got %v", err)
+	var re *RemoteError
+	if !errors.As(err, &re) || !strings.Contains(re.Message, `unsupported method "no.such.stream"`) {
+		t.Fatalf("want unsupported-method RemoteError, got %v", err)
+	}
+	// An unknown stream proves the node alive: the breaker must not move.
+	if h := m.Health(); h.State != BreakerClosed || h.TotalFailures != 0 {
+		t.Fatalf("unsupported stream counted against transport health: %+v", h)
 	}
 }
 
 func TestStreamUnsupportedOnPreColumnarServer(t *testing.T) {
-	// A server with no stream handlers rejects rpc.stream.open; the client
-	// must classify that as "speak JSON instead".
+	// A server with no stream handlers rejects the open: a remote error,
+	// not a transport failure.
 	srv := NewServer("old")
 	srv.Handle("ping", func(json.RawMessage) (any, error) { return "pong", nil })
 	addr, err := srv.Listen("127.0.0.1:0")
@@ -157,8 +163,9 @@ func TestStreamUnsupportedOnPreColumnarServer(t *testing.T) {
 		t.Fatalf("Stream: %v", err)
 	}
 	_, err = sc.Pull()
-	if err == nil || !IsStreamUnsupported(err) {
-		t.Fatalf("want stream-unsupported error, got %v", err)
+	var re *RemoteError
+	if !errors.As(err, &re) || !strings.Contains(re.Message, `unsupported method "test.stream"`) {
+		t.Fatalf("want unsupported-method RemoteError, got %v", err)
 	}
 	// The connection must remain usable for ordinary calls afterwards.
 	var pong string
@@ -204,86 +211,6 @@ func TestStreamPullReconnectsAfterDrop(t *testing.T) {
 	}
 }
 
-func TestStreamSubscribeLockstep(t *testing.T) {
-	_, addr, _ := newStreamTestServer(t)
-	m := NewManagedClient(addr, "test", fastOpts())
-	defer m.Close()
-
-	sub, err := m.Subscribe("test.stream", nil, 0, 1)
-	if err != nil {
-		t.Fatalf("Subscribe: %v", err)
-	}
-	for want := int64(1); want <= 5; want++ {
-		rows, err := sub.Fetch()
-		if err != nil {
-			t.Fatalf("fetch %d: %v", want, err)
-		}
-		if len(rows) != 1 || rows[0].Values[0] != float64(want) {
-			t.Fatalf("fetch %d: rows %+v", want, rows)
-		}
-	}
-}
-
-func TestStreamSubscribeWindowedPipelining(t *testing.T) {
-	_, addr, tick := newStreamTestServer(t)
-	m := NewManagedClient(addr, "test", fastOpts())
-	defer m.Close()
-
-	sub, err := m.Subscribe("test.stream", nil, 0, 3)
-	if err != nil {
-		t.Fatalf("Subscribe: %v", err)
-	}
-	// Frames arrive strictly in order even though the server may collect
-	// ahead of the client by up to window-1 frames.
-	for want := int64(1); want <= 10; want++ {
-		rows, err := sub.Fetch()
-		if err != nil {
-			t.Fatalf("fetch %d: %v", want, err)
-		}
-		if rows[0].Values[0] != float64(want) {
-			t.Fatalf("fetch %d: got tick %v", want, rows[0].Values[0])
-		}
-	}
-	// With window 3 the server ran at most 2 collects ahead.
-	if n := tick.Load(); n > 12 {
-		t.Fatalf("server ran %d collects for 10 fetches, window 3", n)
-	}
-}
-
-func TestStreamSubscribeReconnects(t *testing.T) {
-	srv, addr, tick := newStreamTestServer(t)
-	m := NewManagedClient(addr, "test", fastOpts())
-	defer m.Close()
-
-	sub, err := m.Subscribe("test.stream", nil, 0, 2)
-	if err != nil {
-		t.Fatalf("Subscribe: %v", err)
-	}
-	if _, err := sub.Fetch(); err != nil {
-		t.Fatalf("fetch 1: %v", err)
-	}
-	srv.DropConns()
-
-	deadline := time.Now().Add(5 * time.Second)
-	var rows []StreamRow
-	for {
-		rows, err = sub.Fetch()
-		if err == nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("fetch never recovered: %v", err)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	// With window 2 the server may legitimately run one collect ahead of
-	// the frame we just read; the received tick only has to have advanced
-	// past the pre-drop frame and not beyond the shared counter.
-	if got := rows[0].Values[0]; got < 2 || got > float64(tick.Load()) {
-		t.Fatalf("post-reconnect tick %v (counter %d)", got, tick.Load())
-	}
-}
-
 func TestStreamCollectErrorIsRemoteError(t *testing.T) {
 	srv := NewServer("erry")
 	srv.HandleStream("bad.stream", func(json.RawMessage) (StreamSource, error) {
@@ -303,8 +230,8 @@ func TestStreamCollectErrorIsRemoteError(t *testing.T) {
 	if !errors.As(err, &re) {
 		t.Fatalf("want RemoteError, got %v", err)
 	}
-	if IsStreamUnsupported(err) {
-		t.Fatal("a collect error must not read as unsupported")
+	if re.Message != "sensor exploded" {
+		t.Fatalf("collect error message %q, want the source's error", re.Message)
 	}
 	// Remote errors prove the node alive: the breaker must not have moved.
 	if h := m.Health(); h.State != BreakerClosed || h.TotalFailures != 0 {
@@ -356,7 +283,7 @@ func TestHandleStreamReservedAndDuplicatePanic(t *testing.T) {
 	srv := NewServer("s")
 	h := func(json.RawMessage) (StreamSource, error) { return &erroringSource{}, nil }
 	srv.HandleStream("ok.stream", h)
-	for _, name := range []string{MethodBatch, MethodStreamOpen, MethodStreamPull, MethodStreamCredit, "ok.stream"} {
+	for _, name := range []string{MethodStreamOpen, MethodStreamPull, "ok.stream"} {
 		func() {
 			defer func() {
 				if recover() == nil {
